@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -216,33 +217,25 @@ ScalePoint MeasureScale(uint64_t clients) {
   return runs[runs.size() / 2];
 }
 
-uint64_t MaxClients() {
-  const char* v = std::getenv("BENCH_SCALING_MAX_CLIENTS");
-  if (v == nullptr || v[0] == '\0') {
-    return 1000000;
-  }
-  const long long n = std::atoll(v);
-  return n < 1000 ? 1000 : static_cast<uint64_t>(n);
-}
-
 int RunSweep() {
-  const uint64_t max_clients = MaxClients();
+  constexpr uint64_t kMinScale = 1000;
+  constexpr uint64_t kMaxScale = 1'000'000'000;
+  const uint64_t max_clients = bench::EnvNumber<uint64_t>(
+      "BENCH_SCALING_MAX_CLIENTS", 1000000, kMinScale, kMaxScale);
   std::vector<uint64_t> scales;
   // $BENCH_SCALING_SCALES (comma-separated client counts) overrides
   // the default sweep — for bisecting scaling behavior, not baselines.
   if (const char* override = std::getenv("BENCH_SCALING_SCALES");
       override != nullptr && override[0] != '\0') {
-    const char* s = override;
-    while (*s != '\0') {
-      char* end = nullptr;
-      const long long n = std::strtoll(s, &end, 10);
-      if (end == s) {
+    std::string_view rest(override);
+    for (;;) {
+      const size_t comma = rest.find(',');
+      scales.push_back(util::ParseNumberOrExit(
+          "BENCH_SCALING_SCALES", rest.substr(0, comma), kMinScale, kMaxScale));
+      if (comma == std::string_view::npos) {
         break;
       }
-      if (n >= 1000) {
-        scales.push_back(static_cast<uint64_t>(n));
-      }
-      s = (*end == ',') ? end + 1 : end;
+      rest.remove_prefix(comma + 1);
     }
   }
   if (scales.empty()) {

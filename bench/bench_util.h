@@ -18,6 +18,7 @@
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/sim/parallel_runner.h"
+#include "src/util/parse.h"
 
 namespace whodunit::bench {
 
@@ -42,30 +43,25 @@ inline void Note(const char* text) { std::printf("%s\n", text); }
 // workload definition: changing it changes the numbers (documented in
 // docs/PERFORMANCE.md), which is why it is a separate knob.
 
-inline int EnvInt(const char* name, int fallback) {
+// Unset or empty knobs take their default; a malformed or
+// out-of-range value prints one line naming the variable and exits 2.
+template <typename T>
+T EnvNumber(const char* name, T fallback, T min, T max) {
   const char* v = std::getenv(name);
   if (v == nullptr || v[0] == '\0') {
     return fallback;
   }
-  const int n = std::atoi(v);
-  return n < 1 ? fallback : n;
+  return util::ParseNumberOrExit(name, v, min, max);
 }
 
-inline int BenchThreads() { return EnvInt("BENCH_THREADS", 1); }
-inline int BenchShards() { return EnvInt("BENCH_SHARDS", 1); }
+inline int BenchThreads() { return EnvNumber("BENCH_THREADS", 1, 1, 1024); }
+inline int BenchShards() { return EnvNumber("BENCH_SHARDS", 1, 1, 1024); }
 
 // $BENCH_SAMPLE_RATE sets the production sampling rate the app-level
 // benches profile at (docs/PRODUCTION.md); run_benches.sh records it
 // in the whodunit-bench-v1 JSON. Committed baselines use 1.0, which
 // is byte-identical to the pre-sampling profiler.
-inline double BenchSampleRate() {
-  const char* v = std::getenv("BENCH_SAMPLE_RATE");
-  if (v == nullptr || v[0] == '\0') {
-    return 1.0;
-  }
-  const double rate = std::atof(v);
-  return rate <= 0.0 || rate > 1.0 ? 1.0 : rate;
-}
+inline double BenchSampleRate() { return EnvNumber("BENCH_SAMPLE_RATE", 1.0, 0.0, 1.0); }
 
 // Runs jobs 0..count-1 (each `fn(job)` returning a result) on
 // BenchThreads() workers, each job in its own shard environment
@@ -74,6 +70,10 @@ inline double BenchSampleRate() {
 // metrics into the process registry in that same order.
 template <typename Fn>
 auto RunJobs(size_t count, Fn&& fn) {
+  // Jobs read the other knobs; parse them here first, so a bad value
+  // exits on the calling thread before any job starts.
+  BenchShards();
+  BenchSampleRate();
   auto runs = sim::ParallelRunner::Run(
       count, static_cast<size_t>(BenchThreads()),
       [&fn](size_t job, sim::ShardEnv&) { return fn(job); });

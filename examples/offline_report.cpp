@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "src/obs/export.h"
 #include "src/profiler/deployment.h"
@@ -49,7 +50,13 @@ StageProfiler::Options Opts(std::string name) {
 
 int main(int argc, char** argv) {
   const std::filesystem::path dir = argc > 1 ? argv[1] : "whodunit_profiles";
-  std::filesystem::create_directories(dir);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "offline_report: cannot create %s: %s\n", dir.c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
 
   // ---- Step 1: a profiled run (three stages, two request types) ----
   profiler::Deployment dep;

@@ -3,15 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <vector>
 
+#include "src/apps/harness.h"
 #include "src/crosstalk/crosstalk.h"
-#include "src/profiler/shard_merge.h"
-#include "src/sim/parallel_runner.h"
-#include "src/obs/live/daemon.h"
-#include "src/profiler/deployment.h"
-#include "src/profiler/stage_profiler.h"
 #include "src/profiler/analysis.h"
 #include "src/profiler/stitcher.h"
 #include "src/sim/channel.h"
@@ -80,17 +75,6 @@ uint64_t RowsTouched(const db::Query& query) {
   return rows;
 }
 
-StageProfiler::Options ProfOptions(std::string name, callpath::ProfilerMode mode) {
-  StageProfiler::Options po;
-  po.name = std::move(name);
-  po.mode = mode;
-  po.sample_period = workload::kSamplePeriod;
-  po.costs.per_sample = workload::kPerSampleCost;
-  po.costs.per_call = workload::kPerCallCost;
-  po.costs.per_message_context = workload::kPerMessageContextCost;
-  return po;
-}
-
 class Bookstore {
  public:
   explicit Bookstore(const BookstoreOptions& options)
@@ -99,28 +83,19 @@ class Bookstore {
         tomcat_cpu_(sched_, options.tomcat_cores, "tomcat_cpu"),
         db_cpu_(sched_, options.db_cores, "mysql_cpu"),
         squid_(dep_.AddStage(
-            std::make_unique<StageProfiler>(dep_, ProfOptions("squid", options.mode)))),
+            std::make_unique<StageProfiler>(dep_, StageOptions("squid", options.mode)))),
         tomcat_(dep_.AddStage(
-            std::make_unique<StageProfiler>(dep_, ProfOptions("tomcat", options.mode)))),
+            std::make_unique<StageProfiler>(dep_, StageOptions("tomcat", options.mode)))),
         mysql_(dep_.AddStage(
-            std::make_unique<StageProfiler>(dep_, ProfOptions("mysql", options.mode)))),
+            std::make_unique<StageProfiler>(dep_, StageOptions("mysql", options.mode)))),
         database_(sched_, db_cpu_, db::CostModel{}),
         proxy_ch_(sched_, workload::kLanLatency),
         tomcat_ch_(sched_, workload::kLanLatency),
         db_ch_(sched_, workload::kLanLatency) {
     workload::CreateTpcwTables(database_, options.item_granularity);
     database_.SetLockObserver(&crosstalk_);
-    dep_.sampling().Configure(profiler::SamplingConfig{
-        options.sample_rate,
-        options.sample_seed != 0 ? options.sample_seed : options.seed});
-    if (options.live) {
-      obs::live::LiveOptions lo;
-      lo.span_ring = options.live_span_ring;
-      lo.history_bytes = options.live_history_bytes;
-      lo.attribution = options.live_attribution;
-      lo.publish_batch = options.live_publish_batch;
-      daemon_ = std::make_unique<obs::live::Whodunitd>(sched_, lo);
-      dep_.AttachLive(daemon_.get());
+    daemon_ = WireProfiling(sched_, dep_, options);
+    if (daemon_ != nullptr) {
       // Intern the fourteen interaction names once at wiring time so
       // the per-request publish path is pure integer work.
       for (int t = 0; t < workload::kTpcwTransactionCount; ++t) {
@@ -142,11 +117,61 @@ class Bookstore {
 
   // Runs the simulation; when `out_profile` is set, also extracts the
   // mergeable profile snapshot (for the shard-parallel path).
-  BookstoreResult Run(profiler::ShardProfile* out_profile = nullptr);
+  BookstoreResult Run(profiler::ShardProfile* out_profile);
 
   void SetShard(size_t index, size_t count) { dep_.set_shard(index, count); }
 
+  static BookstoreResult Merge(const std::vector<BookstoreResult>& shards,
+                               const profiler::MergedProfile& merged);
+  static constexpr std::array<ShardSection<BookstoreResult>, 6> kShardSections{{
+      {&BookstoreResult::stitched_text, false, false},
+      {&BookstoreResult::live_top_text, true, false},
+      {&BookstoreResult::live_query_json, true, true},
+      {&BookstoreResult::live_span_json, true, true},
+      {&BookstoreResult::live_why_tail_text, true, false},
+      {&BookstoreResult::live_attr_folded, true, false},
+  }};
+
  private:
+  // Per-type shares of MySQL CPU, from the raw per-type accumulators.
+  static void SetCpuPercents(BookstoreResult* r) {
+    uint64_t label_total = 0;
+    uint64_t ground_total = 0;
+    for (const auto& row : r->per_type) {
+      label_total += row.db_cpu_ns;
+      ground_total += row.db_cpu_ground_ns;
+    }
+    for (auto& row : r->per_type) {
+      if (label_total > 0) {
+        row.db_cpu_percent =
+            100.0 * static_cast<double>(row.db_cpu_ns) / static_cast<double>(label_total);
+      }
+      if (ground_total > 0) {
+        row.db_cpu_percent_ground = 100.0 * static_cast<double>(row.db_cpu_ground_ns) /
+                                    static_cast<double>(ground_total);
+      }
+    }
+  }
+
+  // Draws the next browsing-mix interaction and its result-cache key.
+  static ProxyRequest DrawRequest(util::Rng& rng) {
+    ProxyRequest req;
+    req.type = workload::SampleBrowsingMix(rng);
+    req.cache_key = static_cast<uint32_t>(
+        rng.NextBelow(req.type == TpcwTransaction::kBestSellers ? 20 : 40));
+    return req;
+  }
+
+  // Counts an interaction that started at `start` and completes now,
+  // if both fall in the measure window.
+  void RecordInteraction(TpcwTransaction type, sim::SimTime start) {
+    const sim::SimTime end = sched_.now();
+    if (start >= options_.warmup && end <= options_.duration) {
+      ++interactions_;
+      response_ms_[static_cast<size_t>(type)].Add(sim::ToMillis(end - start));
+    }
+  }
+
   sim::Process ProxyWorker(int index) {
     ThreadProfile& tp = *squid_tps_[static_cast<size_t>(index)];
     auto& reply_ch = *proxy_reply_[static_cast<size_t>(index)];
@@ -365,25 +390,17 @@ class Bookstore {
     return client_reply_.size() - 1;
   }
 
-  sim::Process OpenLoopRequest(TpcwTransaction type, uint32_t cache_key) {
+  sim::Process OpenLoopRequest(ProxyRequest req) {
     const size_t ch_idx = AcquireReplyChannel();
-    auto& reply_ch = *client_reply_[ch_idx];
-    ProxyRequest req;
-    req.type = type;
-    req.cache_key = cache_key;
-    req.reply = &reply_ch;
+    req.reply = client_reply_[ch_idx].get();
     const sim::SimTime start = sched_.now();
     proxy_ch_.Send(req);
-    auto rep = co_await reply_ch.Receive();
+    auto rep = co_await req.reply->Receive();
     reply_free_.push_back(ch_idx);
     if (!rep) {
       co_return;  // drained at shutdown
     }
-    const sim::SimTime end = sched_.now();
-    if (start >= options_.warmup && end <= options_.duration) {
-      ++interactions_;
-      response_ms_[static_cast<size_t>(type)].Add(sim::ToMillis(end - start));
-    }
+    RecordInteraction(req.type, start);
   }
 
   sim::Process OpenLoopGenerator(double tps, uint64_t seed) {
@@ -395,10 +412,7 @@ class Bookstore {
       if (sched_.now() >= options_.duration) {
         break;
       }
-      const TpcwTransaction type = workload::SampleBrowsingMix(mix);
-      const auto cache_key = static_cast<uint32_t>(
-          mix.NextBelow(type == TpcwTransaction::kBestSellers ? 20 : 40));
-      sim::Spawn(sched_, OpenLoopRequest(type, cache_key));
+      sim::Spawn(sched_, OpenLoopRequest(DrawRequest(mix)));
     }
   }
 
@@ -412,11 +426,7 @@ class Bookstore {
       if (sched_.now() >= options_.duration) {
         break;
       }
-      const TpcwTransaction type = workload::SampleBrowsingMix(rng);
-      ProxyRequest req;
-      req.type = type;
-      req.cache_key = static_cast<uint32_t>(
-          rng.NextBelow(type == TpcwTransaction::kBestSellers ? 20 : 40));
+      ProxyRequest req = DrawRequest(rng);
       req.reply = &reply_ch;
       const sim::SimTime start = sched_.now();
       proxy_ch_.Send(req);
@@ -424,11 +434,7 @@ class Bookstore {
       if (!rep) {
         break;
       }
-      const sim::SimTime end = sched_.now();
-      if (start >= options_.warmup && end <= options_.duration) {
-        ++interactions_;
-        response_ms_[static_cast<size_t>(type)].Add(sim::ToMillis(end - start));
-      }
+      RecordInteraction(req.type, start);
     }
   }
 
@@ -535,15 +541,6 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
   for (int i = 0; i < options_.db_workers; ++i) {
     mysql_tps_.push_back(&mysql_.CreateThread("mysql_w" + std::to_string(i)));
   }
-  const bool open_loop =
-      options_.arrivals.kind != workload::ArrivalKind::kClosed;
-  if (!open_loop) {
-    for (int c = 0; c < options_.clients; ++c) {
-      client_reply_.push_back(
-          std::make_unique<sim::Channel<ProxyReply>>(sched_, workload::kLanLatency));
-    }
-  }
-
   for (int i = 0; i < options_.proxy_workers; ++i) {
     sim::Spawn(sched_, ProxyWorker(i));
   }
@@ -553,33 +550,16 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
   for (int i = 0; i < options_.db_workers; ++i) {
     sim::Spawn(sched_, DbWorker(i));
   }
-  if (open_loop) {
-    // Poisson superposition: N clients at rate r == one process at
-    // rate N*r, so generators each carry an equal slice of the
-    // aggregate. Seeds derive from a dedicated stream so the closed-
-    // loop seeder draws stay untouched (and shard seeds keep the merge
-    // thread-count-invariant).
-    const auto clients = static_cast<uint64_t>(
-        options_.clients < 0 ? 0 : options_.clients);
-    const uint64_t per_gen =
-        options_.arrivals.clients_per_generator > 0
-            ? options_.arrivals.clients_per_generator
-            : 10000;
-    const uint64_t gens =
-        clients == 0 ? 0 : (clients + per_gen - 1) / per_gen;
-    const double tps = workload::EffectiveOfferedTps(
-        options_.arrivals, clients, workload::kTpcwThinkTimeMean);
-    util::Rng gen_seeder(options_.seed ^ 0x9E3779B97F4A7C15ULL);
-    for (uint64_t g = 0; g < gens; ++g) {
-      sim::Spawn(sched_, OpenLoopGenerator(tps / static_cast<double>(gens),
-                                           gen_seeder.NextU64()));
-    }
-  } else {
-    for (int c = 0; c < options_.clients; ++c) {
-      sim::Spawn(sched_, Client(static_cast<uint32_t>(c), seeder.NextU64()));
-    }
-  }
-  if (daemon_ != nullptr && options_.on_live_top) {
+  SpawnLoad(
+      sched_, options_, workload::kTpcwThinkTimeMean, seeder,
+      [this](uint32_t c, uint64_t seed) {
+        client_reply_.push_back(
+            std::make_unique<sim::Channel<ProxyReply>>(sched_, workload::kLanLatency));
+        return Client(c, seed);
+      },
+      [this](double tps, uint64_t seed) { return OpenLoopGenerator(tps, seed); });
+  // The refresh callback is not shard-safe, so shards never poll.
+  if (daemon_ != nullptr && options_.on_live_top && dep_.shard_count() == 1) {
     sim::Spawn(sched_, LivePoller());
   }
 
@@ -601,7 +581,6 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
   // Per-type DB CPU shares derived from the mysql stage's CCT labels —
   // the Whodunit way: each label's description names the servlet whose
   // send created it.
-  sim::SimTime label_total = 0;
   std::array<sim::SimTime, workload::kTpcwTransactionCount> label_cpu{};
   std::array<uint64_t, workload::kTpcwTransactionCount> type_tags{};
   std::array<bool, workload::kTpcwTransactionCount> tag_known{};
@@ -612,30 +591,16 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
           std::string("servlet_") + workload::TpcwName(static_cast<TpcwTransaction>(t));
       if (desc.find(needle) != std::string::npos) {
         label_cpu[static_cast<size_t>(t)] += cct->TotalCpuTime();
-        label_total += cct->TotalCpuTime();
         type_tags[static_cast<size_t>(t)] = mysql_.TagForLabel(label);
         tag_known[static_cast<size_t>(t)] = true;
         break;
       }
     }
   }
-  sim::SimTime ground_total = 0;
-  for (sim::SimTime t : db_cpu_ground_) {
-    ground_total += t;
-  }
   for (int t = 0; t < workload::kTpcwTransactionCount; ++t) {
     auto& row = result.per_type[static_cast<size_t>(t)];
     row.count = response_ms_[static_cast<size_t>(t)].count();
     row.mean_response_ms = response_ms_[static_cast<size_t>(t)].mean();
-    if (label_total > 0) {
-      row.db_cpu_percent = 100.0 * static_cast<double>(label_cpu[static_cast<size_t>(t)]) /
-                           static_cast<double>(label_total);
-    }
-    if (ground_total > 0) {
-      row.db_cpu_percent_ground =
-          100.0 * static_cast<double>(db_cpu_ground_[static_cast<size_t>(t)]) /
-          static_cast<double>(ground_total);
-    }
     if (tag_known[static_cast<size_t>(t)]) {
       row.mean_crosstalk_ms =
           crosstalk_.MeanWaitAllAcquires(type_tags[static_cast<size_t>(t)]) / 1e6;
@@ -643,6 +608,7 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
     row.db_cpu_ns = static_cast<uint64_t>(label_cpu[static_cast<size_t>(t)]);
     row.db_cpu_ground_ns = static_cast<uint64_t>(db_cpu_ground_[static_cast<size_t>(t)]);
   }
+  SetCpuPercents(&result);
 
   for (const auto& stage : dep_.stages()) {
     result.payload_bytes += stage->payload_bytes_sent();
@@ -672,70 +638,16 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
   if (out_profile != nullptr) {
     *out_profile = profiler::ExtractShardProfile(dep_, &crosstalk_, tag_namer);
   }
-  if (daemon_ != nullptr) {
-    // Close the publish channel (flushing the partial publish batch)
-    // and drain, so every export below reflects every published event
-    // regardless of --publish-batch — then snapshot. This ordering is
-    // what makes the end-of-run exports batch-size invariant.
-    daemon_->Shutdown();
-    sched_.Run();
-    result.live_top_text = daemon_->RenderTop();
-    result.live_query_json = daemon_->QueryJson();
-    result.live_span_json = daemon_->ExportSpansJson();
-    result.live_why_tail_text = daemon_->RenderWhyTail();
-    result.live_attr_folded = daemon_->ExportAttrFolded();
-  }
+  SnapshotLive(daemon_.get(), sched_, &result);
   result.sim_events = sched_.events_executed();
   result.peak_event_queue_depth = sched_.queue_stats().peak_depth;
   return result;
 }
 
-// One shard's output: the scaled-down deployment's result plus its
-// mergeable profile snapshot.
-struct BookstoreShardOutput {
-  BookstoreResult result;
-  profiler::ShardProfile profile;
-};
-
-BookstoreResult RunShardedBookstore(const BookstoreOptions& options) {
-  const int shards = options.shards;
-  auto runs = sim::ParallelRunner::Run(
-      static_cast<size_t>(shards), static_cast<size_t>(options.threads),
-      [&options, shards](size_t shard, sim::ShardEnv& /*env*/) {
-        BookstoreOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.threads = 1;
-        // Fixed partition: sizes depend only on (clients, shards).
-        shard_options.clients = options.clients / shards +
-                                (static_cast<int>(shard) < options.clients % shards ? 1 : 0);
-        // An explicit offered load splits proportionally to the shard's
-        // client share (a rate-0 config derives from clients anyway).
-        if (options.arrivals.offered_load_tps > 0.0 && options.clients > 0) {
-          shard_options.arrivals.offered_load_tps =
-              options.arrivals.offered_load_tps *
-              static_cast<double>(shard_options.clients) /
-              static_cast<double>(options.clients);
-        }
-        shard_options.seed = options.seed + shard;
-        // Shards draw independent decision streams; an explicit
-        // sample_seed shifts per shard the same way `seed` does.
-        shard_options.sample_seed =
-            options.sample_seed != 0 ? options.sample_seed + shard : 0;
-        shard_options.on_live_top = nullptr;
-        Bookstore bookstore(shard_options);
-        bookstore.SetShard(shard, static_cast<size_t>(shards));
-        BookstoreShardOutput out;
-        out.result = bookstore.Run(&out.profile);
-        return out;
-      });
-
-  // Canonical merge, shard order, on the calling thread.
-  profiler::MergedProfile merged;
+BookstoreResult Bookstore::Merge(const std::vector<BookstoreResult>& shards,
+                                 const profiler::MergedProfile& merged) {
   BookstoreResult out;
-  std::ostringstream stitched, live_top, live_query, live_spans, live_why, live_attr;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const BookstoreResult& r = runs[i].result.result;
-    merged.Fold(runs[i].result.profile);
+  for (const BookstoreResult& r : shards) {
     out.interactions += r.interactions;
     out.throughput_tpm += r.throughput_tpm;
     out.payload_bytes += r.payload_bytes;
@@ -755,37 +667,16 @@ BookstoreResult RunShardedBookstore(const BookstoreOptions& options) {
       row.db_cpu_ns += shard_row.db_cpu_ns;
       row.db_cpu_ground_ns += shard_row.db_cpu_ground_ns;
     }
-    stitched << "=== shard " << i << " ===\n" << r.stitched_text;
-    if (options.live) {
-      live_top << "=== shard " << i << " ===\n" << r.live_top_text;
-      live_query << "=== shard " << i << " ===\n" << r.live_query_json << "\n";
-      live_spans << "=== shard " << i << " ===\n" << r.live_span_json << "\n";
-      live_why << "=== shard " << i << " ===\n" << r.live_why_tail_text;
-      live_attr << "=== shard " << i << " ===\n" << r.live_attr_folded;
-    }
   }
   // Shard machines are replicas, so merged utilization is their mean.
-  out.db_utilization /= static_cast<double>(shards);
-  out.tomcat_utilization /= static_cast<double>(shards);
-  out.proxy_utilization /= static_cast<double>(shards);
-  uint64_t label_total = 0;
-  uint64_t ground_total = 0;
-  for (const auto& row : out.per_type) {
-    label_total += row.db_cpu_ns;
-    ground_total += row.db_cpu_ground_ns;
-  }
+  out.db_utilization /= static_cast<double>(shards.size());
+  out.tomcat_utilization /= static_cast<double>(shards.size());
+  out.proxy_utilization /= static_cast<double>(shards.size());
+  SetCpuPercents(&out);
   for (int t = 0; t < workload::kTpcwTransactionCount; ++t) {
     auto& row = out.per_type[static_cast<size_t>(t)];
     if (row.count > 0) {
       row.mean_response_ms /= static_cast<double>(row.count);
-    }
-    if (label_total > 0) {
-      row.db_cpu_percent =
-          100.0 * static_cast<double>(row.db_cpu_ns) / static_cast<double>(label_total);
-    }
-    if (ground_total > 0) {
-      row.db_cpu_percent_ground = 100.0 * static_cast<double>(row.db_cpu_ground_ns) /
-                                  static_cast<double>(ground_total);
     }
     const uint64_t tag =
         merged.MergedTag(workload::TpcwName(static_cast<TpcwTransaction>(t)));
@@ -795,32 +686,15 @@ BookstoreResult RunShardedBookstore(const BookstoreOptions& options) {
   }
   out.db_profile_text = merged.RenderTransactionalProfile("mysql", 0.001);
   out.crosstalk_text = merged.RenderCrosstalk();
-  out.stitched_text = stitched.str();
-  out.stitched_dot = runs.front().result.result.stitched_dot;
-  out.who_causes_sort = runs.front().result.result.who_causes_sort;
-  if (options.live) {
-    out.live_top_text = live_top.str();
-    out.live_query_json = live_query.str();
-    out.live_span_json = live_spans.str();
-    out.live_why_tail_text = live_why.str();
-    out.live_attr_folded = live_attr.str();
-  }
-  // Shard metrics fold into the caller's registry in shard order so
-  // WHODUNIT_METRICS_DIR dumps cover the sharded work deterministically.
-  for (const auto& run : runs) {
-    run.env->FoldMetricsInto(obs::Registry());
-  }
+  out.stitched_dot = shards.front().stitched_dot;
+  out.who_causes_sort = shards.front().who_causes_sort;
   return out;
 }
 
 }  // namespace
 
 BookstoreResult RunBookstore(const BookstoreOptions& options) {
-  if (options.shards > 1) {
-    return RunShardedBookstore(options);
-  }
-  Bookstore bookstore(options);
-  return bookstore.Run();
+  return RunSharded<Bookstore>(options);
 }
 
 }  // namespace whodunit::apps

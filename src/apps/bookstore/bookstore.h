@@ -22,23 +22,20 @@
 #include <functional>
 #include <string>
 
-#include "src/callpath/profiler_mode.h"
+#include "src/apps/run_options.h"
 #include "src/db/database.h"
 #include "src/sim/time.h"
-#include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
 #include "src/workload/tpcw.h"
 
 namespace whodunit::apps {
 
-struct BookstoreOptions {
-  callpath::ProfilerMode mode = callpath::ProfilerMode::kWhodunit;
+struct BookstoreOptions : RunOptions {
   int clients = 100;
   bool servlet_caching = false;
   db::LockGranularity item_granularity = db::LockGranularity::kTableLocks;
   sim::SimTime duration = sim::Seconds(900);
   sim::SimTime warmup = sim::Seconds(120);
-  uint64_t seed = 1;
   int proxy_workers = 24;
   int tomcat_workers = 24;
   int db_workers = 24;
@@ -50,36 +47,6 @@ struct BookstoreOptions {
   int proxy_cores = workload::kProxyCores;
   int tomcat_cores = workload::kAppServerCores;
   int db_cores = workload::kDbCores;
-
-  // ---- Open-loop arrivals (src/workload/arrivals.h) -------------------
-  // kind == kClosed reproduces the seed behavior exactly: one
-  // think-send-wait coroutine per client. kPoisson / kBursty switch to
-  // open-loop generators (the --arrivals / --offered-load knobs): ~1
-  // generator coroutine per 10k logical clients injects requests on an
-  // arrival clock, and per-client memory goes flat — see
-  // docs/PRODUCTION.md.
-  workload::ArrivalConfig arrivals;
-
-  // ---- Production sampling (docs/PRODUCTION.md) -----------------------
-  // Fraction of top-level transactions that are profiled (the
-  // --sample-rate knob). 1.0 profiles everything and is byte-identical
-  // to the pre-sampling profiler; unsampled transactions pay only the
-  // per-transaction coin flip.
-  double sample_rate = 1.0;
-  // Decision-stream seed; 0 derives it from `seed` (so sharded runs
-  // sample independent per-shard subsets automatically).
-  uint64_t sample_seed = 0;
-
-  // ---- Shard-parallel execution (src/sim/parallel_runner.h) -----------
-  // shards > 1 partitions the client population into `shards`
-  // independent deployments (each with its own scheduler, context
-  // tree, dictionaries, and seed = seed + shard index) and merges the
-  // results in shard order. The partition is part of the workload
-  // definition: for a fixed `shards`, the merged result is
-  // byte-identical for any `threads` — which only sets the worker-pool
-  // size (1 = run shards serially on the calling thread).
-  int shards = 1;
-  int threads = 1;
 
   // ---- Live observability (src/obs/live) ------------------------------
   // Attach a whodunitd aggregation daemon: stages publish transaction
@@ -169,13 +136,13 @@ struct BookstoreResult {
   uint64_t peak_event_queue_depth = 0;
 };
 
-// Runs the bookstore. With options.shards > 1 the run fans out over a
-// sim::ParallelRunner: numeric results merge exactly (raw-sum fields),
-// db_profile_text / crosstalk_text are the canonical cross-shard merge
-// (profiler::MergedProfile), stitched_text and the live snapshots are
-// per-shard sections in shard order, and stitched_dot /
-// who_causes_sort come from shard 0. on_live_top is ignored when
-// sharded (the callback is not shard-safe).
+// Runs the bookstore. With options.shards > 1 the run fans out through
+// RunSharded (src/apps/harness.h): numeric results merge exactly
+// (raw-sum fields), db_profile_text / crosstalk_text are the canonical
+// cross-shard merge, stitched_text and the live snapshots are
+// per-shard sections, and stitched_dot / who_causes_sort come from
+// shard 0. on_live_top is ignored when sharded (the callback is not
+// shard-safe).
 BookstoreResult RunBookstore(const BookstoreOptions& options);
 
 }  // namespace whodunit::apps

@@ -1,18 +1,12 @@
 #include "src/apps/minihttpd/minihttpd.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <vector>
 
-#include "src/http/http.h"
-#include "src/obs/live/daemon.h"
-#include "src/obs/metrics.h"
-#include "src/profiler/deployment.h"
-#include "src/profiler/shard_merge.h"
-#include "src/profiler/stage_profiler.h"
-#include "src/sim/parallel_runner.h"
+#include "src/apps/harness.h"
 #include "src/shm/flow_detector.h"
 #include "src/shm/guest_code.h"
 #include "src/shm/section_cache.h"
@@ -22,7 +16,6 @@
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
 #include "src/util/rng.h"
-#include "src/util/zipf.h"
 #include "src/vm/interpreter.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
@@ -46,10 +39,6 @@ constexpr int kPoolBlocks = 64;
 // Per-worker scratch addresses for ap_queue_pop's out parameters.
 constexpr uint64_t kScratchBase = 0x20000;
 
-// Connections injected by an open-loop generator carry this sentinel
-// client id: no closed-loop coroutine is waiting on client_done_.
-constexpr uint32_t kOpenLoopClient = 0xFFFFFFFFu;
-
 struct Connection {
   uint32_t client;
   std::vector<uint32_t> objects;
@@ -67,14 +56,13 @@ class Server {
   explicit Server(const MinihttpdOptions& options)
       : options_(options),
         cpu_(sched_, workload::kWebServerCores, "apache_cpu"),
-        prof_(dep_, MakeProfilerOptions(options)),
+        prof_(dep_, StageOptions("apache", options.mode)),
         detector_(MakeDetector()),
         queue_mutex_(sched_, "fd_queue_mutex"),
         alloc_mutex_(sched_, "pool_mutex"),
         stats_mutex_(sched_, "stats_mutex"),
         items_(sched_),
-        accept_ch_(sched_),
-        rng_(options.seed) {
+        accept_ch_(sched_) {
     push_prog_ = shm::ApQueuePush(queue_mutex_.id());
     pop_prog_ = shm::ApQueuePop(queue_mutex_.id());
     alloc_prog_ = shm::MemAlloc(alloc_mutex_.id());
@@ -91,10 +79,6 @@ class Server {
     }
     mem_.Write(kFreeListHead, head);
 
-    dep_.sampling().Configure(profiler::SamplingConfig{
-        options.sample_rate,
-        options.sample_seed != 0 ? options.sample_seed : options.seed});
-
     detector_.set_flow_callback([this](const shm::FlowEvent& ev) {
       prof_.AdoptCtxt(*thread_profiles_[ev.consumer], ev.ctxt);
       if (ev.lock_id == queue_mutex_.id()) {
@@ -102,16 +86,9 @@ class Server {
       }
     });
 
-    if (options.live) {
-      obs::live::LiveOptions lo;
-      lo.history_bytes = options.live_history_bytes;
-      lo.publish_batch = options.live_publish_batch;
-      daemon_ = std::make_unique<obs::live::Whodunitd>(sched_, lo);
-      dep_.AttachLive(daemon_.get());
-      // The server's stage lives outside the deployment's registry, so
-      // attach it and route the daemon's pre-query flush to it directly.
-      prof_.AttachLive(daemon_.get());
-      daemon_->set_flush_hook([this] { prof_.FlushLive(); });
+    // The server's stage lives outside the deployment's registry.
+    daemon_ = WireProfiling(sched_, dep_, options, &prof_);
+    if (daemon_ != nullptr) {
       // Intern the two connection-type names once so the per-accept
       // publish path is pure integer work.
       conn_small_sym_ = daemon_->symbols().Intern("conn_small");
@@ -119,20 +96,25 @@ class Server {
     }
   }
 
-  MinihttpdResult Run(profiler::ShardProfile* out_profile = nullptr);
+  MinihttpdResult Run(profiler::ShardProfile* out_profile);
 
   void SetShard(size_t index, size_t count) { dep_.set_shard(index, count); }
 
+  static MinihttpdResult Merge(const std::vector<MinihttpdResult>& shards,
+                               const profiler::MergedProfile& profile);
+  static constexpr std::array<ShardSection<MinihttpdResult>, 2> kShardSections{{
+      {&MinihttpdResult::live_top_text, true, false},
+      {&MinihttpdResult::live_span_json, true, true},
+  }};
+
  private:
-  static StageProfiler::Options MakeProfilerOptions(const MinihttpdOptions& options) {
-    StageProfiler::Options po;
-    po.name = "apache";
-    po.mode = options.mode;
-    po.sample_period = workload::kSamplePeriod;
-    po.costs.per_sample = workload::kPerSampleCost;
-    po.costs.per_call = workload::kPerCallCost;
-    po.costs.per_message_context = workload::kPerMessageContextCost;
-    return po;
+  // Listener vs worker context shares, from the raw accumulators.
+  static void SetShares(MinihttpdResult* r) {
+    if (r->total_cpu_ns > 0) {
+      r->listener_context_share = 100.0 * static_cast<double>(r->origin_cpu_ns) /
+                                  static_cast<double>(r->total_cpu_ns);
+      r->worker_context_share = 100.0 - r->listener_context_share;
+    }
   }
 
   shm::FlowDetector MakeDetector() {
@@ -395,7 +377,6 @@ class Server {
   sim::Channel<uint8_t> items_;
   sim::Channel<Connection> accept_ch_;
   workload::WebTrace trace_;
-  util::Rng rng_;
   std::unique_ptr<obs::live::Whodunitd> daemon_;
   // Connection-type names pre-interned against the daemon's symbol
   // table (set in the ctor when options.live).
@@ -425,38 +406,18 @@ MinihttpdResult Server::Run(profiler::ShardProfile* out_profile) {
   for (int w = 0; w < options_.workers; ++w) {
     thread_profiles_.push_back(&prof_.CreateThread("worker_" + std::to_string(w)));
   }
-  const bool open_loop =
-      options_.arrivals.kind != workload::ArrivalKind::kClosed;
-  if (!open_loop) {
-    for (int c = 0; c < options_.clients; ++c) {
-      client_done_.push_back(std::make_unique<sim::Channel<uint8_t>>(sched_));
-    }
-  }
-
   sim::Spawn(sched_, Listener());
   for (int w = 0; w < options_.workers; ++w) {
     sim::Spawn(sched_, Worker(w));
   }
-  if (open_loop) {
-    const auto clients = static_cast<uint64_t>(options_.clients);
-    const uint64_t per_gen =
-        std::max<uint64_t>(1, options_.arrivals.clients_per_generator);
-    const auto gens = static_cast<int>((clients + per_gen - 1) / per_gen);
-    // Minihttpd clients have no think time, so there is no natural
-    // per-client rate; the 0 mean falls back to 1 conn/client/sec
-    // unless --offered-load pins the aggregate.
-    const double tps = workload::EffectiveOfferedTps(
-        options_.arrivals, clients, /*per_client_think_mean=*/0);
-    util::Rng gen_seeder(options_.seed ^ 0x9E3779B97F4A7C15ULL);
-    for (int g = 0; g < gens; ++g) {
-      sim::Spawn(sched_, OpenLoopGenerator(tps / gens, gen_seeder.NextU64()));
-    }
-  } else {
-    util::Rng seeder(options_.seed);
-    for (int c = 0; c < options_.clients; ++c) {
-      sim::Spawn(sched_, Client(static_cast<uint32_t>(c), seeder.NextU64()));
-    }
-  }
+  util::Rng seeder(options_.seed);
+  SpawnLoad(
+      sched_, options_, /*think_mean=*/0, seeder,
+      [this](uint32_t c, uint64_t seed) {
+        client_done_.push_back(std::make_unique<sim::Channel<uint8_t>>(sched_));
+        return Client(c, seed);
+      },
+      [this](double tps, uint64_t seed) { return OpenLoopGenerator(tps, seed); });
 
   // Warmup snapshot, then measure to the end of the run.
   const sim::SimTime warmup = options_.duration / 5;
@@ -486,66 +447,25 @@ MinihttpdResult Server::Run(profiler::ShardProfile* out_profile) {
   result.profile_text = prof_.RenderTransactionalProfile(0.005);
 
   // Origin (empty-label) CCT = the listener's own context.
-  sim::SimTime origin = 0, total = prof_.total_cpu_time();
   for (const auto& [label, cct] : prof_.LabeledCcts()) {
     if (label.empty()) {
-      origin += cct->TotalCpuTime();
+      result.origin_cpu_ns += static_cast<uint64_t>(cct->TotalCpuTime());
     }
   }
-  result.origin_cpu_ns = origin;
-  result.total_cpu_ns = total;
-  if (total > 0) {
-    result.listener_context_share = 100.0 * static_cast<double>(origin) /
-                                    static_cast<double>(total);
-    result.worker_context_share = 100.0 - result.listener_context_share;
-  }
+  result.total_cpu_ns = static_cast<uint64_t>(prof_.total_cpu_time());
+  SetShares(&result);
   if (out_profile != nullptr) {
     out_profile->functions = dep_.functions();
     profiler::AppendStageCcts(dep_, prof_, out_profile);
   }
-  if (daemon_ != nullptr) {
-    // Flush the partial publish batch and drain before snapshotting,
-    // so the exports reflect every published event regardless of
-    // --publish-batch (batch-size invariance).
-    daemon_->Shutdown();
-    sched_.Run();
-    result.live_top_text = daemon_->RenderTop();
-    result.live_span_json = daemon_->ExportSpansJson();
-  }
+  SnapshotLive(daemon_.get(), sched_, &result);
   return result;
 }
 
-struct MinihttpdShardOutput {
-  MinihttpdResult result;
-  profiler::ShardProfile profile;
-};
-
-MinihttpdResult RunShardedMinihttpd(const MinihttpdOptions& options) {
-  const size_t shards = static_cast<size_t>(options.shards);
-  auto runs = sim::ParallelRunner::Run(
-      shards, static_cast<size_t>(options.threads),
-      [&options, shards](size_t shard, sim::ShardEnv&) {
-        MinihttpdOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.threads = 1;
-        const int base = options.clients / static_cast<int>(shards);
-        const int extra = options.clients % static_cast<int>(shards);
-        shard_options.clients = base + (static_cast<int>(shard) < extra ? 1 : 0);
-        shard_options.seed = options.seed + shard;
-        shard_options.sample_seed =
-            options.sample_seed != 0 ? options.sample_seed + shard : 0;
-        MinihttpdShardOutput out;
-        Server server(shard_options);
-        server.SetShard(shard, shards);
-        out.result = server.Run(&out.profile);
-        return out;
-      });
-
+MinihttpdResult Server::Merge(const std::vector<MinihttpdResult>& shards,
+                              const profiler::MergedProfile& profile) {
   MinihttpdResult merged;
-  profiler::MergedProfile profile;
-  std::ostringstream live_top, live_spans;
-  for (size_t shard = 0; shard < runs.size(); ++shard) {
-    const MinihttpdResult& r = runs[shard].result.result;
+  for (const MinihttpdResult& r : shards) {
     merged.throughput_mbps += r.throughput_mbps;
     merged.requests += r.requests;
     merged.connections += r.connections;
@@ -556,32 +476,16 @@ MinihttpdResult RunShardedMinihttpd(const MinihttpdOptions& options) {
     merged.critical_sections_emulated += r.critical_sections_emulated;
     merged.origin_cpu_ns += r.origin_cpu_ns;
     merged.total_cpu_ns += r.total_cpu_ns;
-    profile.Fold(runs[shard].result.profile);
-    if (options.live) {
-      live_top << "=== shard " << shard << " ===\n" << r.live_top_text;
-      live_spans << "=== shard " << shard << " ===\n" << r.live_span_json;
-    }
-    runs[shard].env->FoldMetricsInto(obs::Registry());
   }
-  if (merged.total_cpu_ns > 0) {
-    merged.listener_context_share = 100.0 * static_cast<double>(merged.origin_cpu_ns) /
-                                    static_cast<double>(merged.total_cpu_ns);
-    merged.worker_context_share = 100.0 - merged.listener_context_share;
-  }
+  SetShares(&merged);
   merged.profile_text = profile.RenderTransactionalProfile("apache", 0.005);
-  merged.live_top_text = live_top.str();
-  merged.live_span_json = live_spans.str();
   return merged;
 }
 
 }  // namespace
 
 MinihttpdResult RunMinihttpd(const MinihttpdOptions& options) {
-  if (options.shards > 1) {
-    return RunShardedMinihttpd(options);
-  }
-  Server server(options);
-  return server.Run();
+  return RunSharded<Server>(options);
 }
 
 MysqlShmValidationResult RunMysqlShmValidation(int threads, int rounds, uint64_t seed) {

@@ -18,31 +18,25 @@
 #include <cstdint>
 #include <string>
 
-#include "src/callpath/profiler_mode.h"
+#include "src/apps/run_options.h"
 #include "src/sim/time.h"
-#include "src/workload/arrivals.h"
 
 namespace whodunit::apps {
 
-struct MinihttpdOptions {
-  callpath::ProfilerMode mode = callpath::ProfilerMode::kWhodunit;
+// Sampling here is per connection: the listener's coin flip rides to
+// the workers on the connection record, so the queue pop is emulated
+// only while a sampled connection may be in the queue. Open-loop
+// arrivals ignore persistent_connections (open loop models connection
+// churn). Shards each get a full worker pool.
+struct MinihttpdOptions : RunOptions {
   int workers = 8;
   int clients = 64;
   sim::SimTime duration = sim::Seconds(20);
-  uint64_t seed = 1;
   // §9.2: with all-persistent connections no new work flows through
   // the shared queue, so Whodunit has (almost) nothing to emulate.
   // Each client then opens exactly one connection for the whole run;
   // use workers >= clients in this mode.
   bool persistent_connections = false;
-  // ---- Open-loop arrivals (src/workload/arrivals.h) -------------------
-  // kind == kClosed reproduces the seed behavior exactly (one
-  // back-to-back coroutine per client). Open-loop kinds inject
-  // connections on an arrival clock via ~1 generator per 10k logical
-  // clients; with offered_load_tps == 0 the aggregate rate defaults to
-  // one connection per client per second. Ignores
-  // persistent_connections (open loop models connection churn).
-  workload::ArrivalConfig arrivals;
   // Attach a whodunitd live-observability daemon (src/obs/live): each
   // connection becomes a live transaction from accept to completion.
   bool live = false;
@@ -53,23 +47,6 @@ struct MinihttpdOptions {
   // transactions flush to the daemon in batches of this size. Final
   // exports are byte-identical for any value ≥ 1.
   size_t live_publish_batch = 64;
-
-  // ---- Production sampling (docs/PRODUCTION.md) -----------------------
-  // Fraction of connections that are profiled (the --sample-rate
-  // knob). The listener's coin flip rides to the workers on the
-  // connection record, so the queue pop is emulated only while a
-  // sampled connection may be in the queue.
-  double sample_rate = 1.0;
-  // Decision-stream seed; 0 derives it from `seed`.
-  uint64_t sample_seed = 0;
-
-  // Shard-parallel execution (src/sim/parallel_runner.h): shards > 1
-  // partitions the client population into independent deployments
-  // (each with its own scheduler and seed = seed + shard index, and a
-  // full worker pool) merged in shard order. For a fixed `shards`, the
-  // merged result is byte-identical for any `threads`.
-  int shards = 1;
-  int threads = 1;
 };
 
 struct MinihttpdResult {
@@ -100,11 +77,10 @@ struct MinihttpdResult {
   std::string live_span_json;
 };
 
-// Runs minihttpd. With options.shards > 1 the run fans out over a
-// sim::ParallelRunner: numeric results merge exactly (raw-sum fields,
-// flags OR-ed), profile_text is the canonical cross-shard merge
-// (profiler::MergedProfile), and the live snapshots are per-shard
-// sections in shard order.
+// Runs minihttpd. With options.shards > 1 the run fans out through
+// RunSharded (src/apps/harness.h): numeric results merge exactly
+// (raw-sum fields, flags OR-ed), profile_text is the canonical
+// cross-shard merge, and the live snapshots are per-shard sections.
 MinihttpdResult RunMinihttpd(const MinihttpdOptions& options);
 
 // §8.1's negative result: MySQL-style shared-memory traffic (table

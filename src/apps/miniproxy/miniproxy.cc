@@ -1,25 +1,19 @@
 #include "src/apps/miniproxy/miniproxy.h"
 
 #include <algorithm>
-#include <list>
+#include <array>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "src/apps/harness.h"
 #include "src/events/event_loop.h"
-#include "src/http/http.h"
-#include "src/obs/metrics.h"
-#include "src/profiler/deployment.h"
-#include "src/profiler/shard_merge.h"
-#include "src/profiler/stage_profiler.h"
-#include "src/sim/parallel_runner.h"
 #include "src/sim/channel.h"
 #include "src/sim/cpu.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
+#include "src/util/lru_cache.h"
 #include "src/util/rng.h"
-#include "src/util/zipf.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
 #include "src/workload/webtrace.h"
@@ -32,45 +26,9 @@ using events::EventLoop;
 using profiler::StageProfiler;
 using profiler::ThreadProfile;
 
-// A small LRU object cache (Squid's in-memory store).
-class LruCache {
- public:
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
-
-  bool Lookup(uint32_t object) {
-    auto it = index_.find(object);
-    if (it == index_.end()) {
-      return false;
-    }
-    order_.splice(order_.begin(), order_, it->second);
-    return true;
-  }
-
-  void Insert(uint32_t object) {
-    if (index_.contains(object)) {
-      return;
-    }
-    order_.push_front(object);
-    index_[object] = order_.begin();
-    if (order_.size() > capacity_) {
-      index_.erase(order_.back());
-      order_.pop_back();
-    }
-  }
-
- private:
-  size_t capacity_;
-  std::list<uint32_t> order_;
-  std::unordered_map<uint32_t, std::list<uint32_t>::iterator> index_;
-};
-
-// Connections injected by an open-loop generator carry this sentinel
-// client id: no closed-loop coroutine is waiting on client_done_.
-constexpr uint32_t kOpenLoopClient = 0xFFFFFFFFu;
-
 struct ClientConn {
   uint32_t client;
-  std::vector<uint32_t> objects;  // Zipf-drawn, one per request
+  std::vector<uint32_t> objects;  // one per request
 };
 
 struct OriginRequest {
@@ -85,29 +43,33 @@ class Proxy {
         proxy_cpu_(sched_, workload::kProxyCores, "squid_cpu"),
         origin_cpu_(sched_, 2, "origin_cpu"),
         loop_(sched_, "comm_poll"),
-        prof_(dep_, MakeProfilerOptions(options)),
+        prof_(dep_, StageOptions("squid", options.mode)),
         origin_ch_(sched_, workload::kLanLatency),
         accept_ch_(sched_),
         cache_(workload::kProxyCacheObjects) {
-    dep_.sampling().Configure(profiler::SamplingConfig{
-        options.sample_rate,
-        options.sample_seed != 0 ? options.sample_seed : options.seed});
+    WireProfiling(sched_, dep_, options);
   }
 
-  MiniproxyResult Run(profiler::ShardProfile* out_profile = nullptr);
+  MiniproxyResult Run(profiler::ShardProfile* out_profile);
 
   void SetShard(size_t index, size_t count) { dep_.set_shard(index, count); }
 
+  static MiniproxyResult Merge(const std::vector<MiniproxyResult>& shards,
+                               const profiler::MergedProfile& profile);
+  static constexpr std::array<ShardSection<MiniproxyResult>, 0> kShardSections{};
+
  private:
-  static StageProfiler::Options MakeProfilerOptions(const MiniproxyOptions& options) {
-    StageProfiler::Options po;
-    po.name = "squid";
-    po.mode = options.mode;
-    po.sample_period = workload::kSamplePeriod;
-    po.costs.per_sample = workload::kPerSampleCost;
-    po.costs.per_call = workload::kPerCallCost;
-    po.costs.per_message_context = workload::kPerMessageContextCost;
-    return po;
+  // The hit ratio and path shares, from the raw counts.
+  static void SetRatios(MiniproxyResult* r) {
+    if (r->cache_hits + r->cache_misses > 0) {
+      r->hit_ratio = static_cast<double>(r->cache_hits) /
+                     static_cast<double>(r->cache_hits + r->cache_misses);
+    }
+    if (r->total_cpu_ns > 0) {
+      const double total = static_cast<double>(r->total_cpu_ns);
+      r->hit_path_share = 100.0 * static_cast<double>(r->hit_path_cpu_ns) / total;
+      r->miss_path_share = 100.0 * static_cast<double>(r->miss_path_cpu_ns) / total;
+    }
   }
 
   // Per-dispatch cost of the instrumented event library when
@@ -291,7 +253,7 @@ class Proxy {
   ThreadProfile* loop_tp_ = nullptr;
   sim::Channel<OriginRequest> origin_ch_;
   sim::Channel<ClientConn> accept_ch_;
-  LruCache cache_;
+  util::LruCache cache_;
   workload::WebTrace trace_;
 
   events::HandlerId accept_h_ = 0, read_h_ = 0, connect_h_ = 0, reply_h_ = 0, write_h_ = 0;
@@ -319,35 +281,17 @@ MiniproxyResult Proxy::Run(profiler::ShardProfile* out_profile) {
                                                   : "stage:" + std::to_string(id);
   });
 
-  const bool open_loop =
-      options_.arrivals.kind != workload::ArrivalKind::kClosed;
-  if (!open_loop) {
-    for (int c = 0; c < options_.clients; ++c) {
-      client_done_.push_back(std::make_unique<sim::Channel<uint8_t>>(sched_));
-    }
-  }
   sim::Spawn(sched_, loop_.Run());
   sim::Spawn(sched_, AcceptPump());
   sim::Spawn(sched_, OriginServer());
-  if (open_loop) {
-    const auto clients = static_cast<uint64_t>(options_.clients);
-    const uint64_t per_gen =
-        std::max<uint64_t>(1, options_.arrivals.clients_per_generator);
-    const auto gens = static_cast<int>((clients + per_gen - 1) / per_gen);
-    // Miniproxy clients have no think time; the 0 mean falls back to
-    // 1 conn/client/sec unless --offered-load pins the aggregate.
-    const double tps = workload::EffectiveOfferedTps(
-        options_.arrivals, clients, /*per_client_think_mean=*/0);
-    util::Rng gen_seeder(options_.seed ^ 0x9E3779B97F4A7C15ULL);
-    for (int g = 0; g < gens; ++g) {
-      sim::Spawn(sched_, OpenLoopGenerator(tps / gens, gen_seeder.NextU64()));
-    }
-  } else {
-    util::Rng seeder(options_.seed);
-    for (int c = 0; c < options_.clients; ++c) {
-      sim::Spawn(sched_, Client(static_cast<uint32_t>(c), seeder.NextU64()));
-    }
-  }
+  util::Rng seeder(options_.seed);
+  SpawnLoad(
+      sched_, options_, /*think_mean=*/0, seeder,
+      [this](uint32_t c, uint64_t seed) {
+        client_done_.push_back(std::make_unique<sim::Channel<uint8_t>>(sched_));
+        return Client(c, seed);
+      },
+      [this](double tps, uint64_t seed) { return OpenLoopGenerator(tps, seed); });
 
   const sim::SimTime warmup = options_.duration / 5;
   uint64_t warm_bytes = 0;
@@ -366,48 +310,21 @@ MiniproxyResult Proxy::Run(profiler::ShardProfile* out_profile) {
   result.requests = requests_served_;
   result.cache_hits = hits_;
   result.cache_misses = misses_;
-  result.hit_ratio =
-      hits_ + misses_ > 0 ? static_cast<double>(hits_) / static_cast<double>(hits_ + misses_)
-                          : 0.0;
   const double window_s = sim::ToSeconds(options_.duration - warmup);
   result.throughput_mbps =
       static_cast<double>(bytes_served_ - warm_bytes) * 8.0 / 1e6 / window_s;
   result.profile_text = prof_.RenderTransactionalProfile(0.001);
 
-  // Count the contexts in which commHandleWrite executed, and the
-  // hit/miss path shares.
+  // The contexts in which commHandleWrite executed, split into the
+  // hit path and the miss path (through httpReadReply).
+  const PathSplit split =
+      SplitByPath(dep_, prof_, {context::ElementKind::kHandler, write_h_},
+                  {context::ElementKind::kHandler, reply_h_});
+  result.write_handler_context_count = split.contexts;
+  result.miss_path_cpu_ns = split.via_ns;
+  result.hit_path_cpu_ns = split.other_ns;
   result.total_cpu_ns = prof_.total_cpu_time();
-  for (const auto& [label, cct] : prof_.LabeledCcts()) {
-    if (label.parts.empty()) {
-      continue;
-    }
-    const context::TransactionContext& ctxt = dep_.synopses().Lookup(label.parts.back());
-    if (ctxt.elements().empty()) {
-      continue;
-    }
-    const bool ends_in_write =
-        ctxt.elements().back() ==
-        context::Element{context::ElementKind::kHandler, write_h_};
-    bool via_reply = false;
-    for (const auto& e : ctxt.elements()) {
-      if (e == context::Element{context::ElementKind::kHandler, reply_h_}) {
-        via_reply = true;
-      }
-    }
-    if (ends_in_write) {
-      ++result.write_handler_context_count;
-      if (via_reply) {
-        result.miss_path_cpu_ns += cct->TotalCpuTime();
-      } else {
-        result.hit_path_cpu_ns += cct->TotalCpuTime();
-      }
-    }
-  }
-  if (result.total_cpu_ns > 0) {
-    const double total = static_cast<double>(result.total_cpu_ns);
-    result.hit_path_share = 100.0 * static_cast<double>(result.hit_path_cpu_ns) / total;
-    result.miss_path_share = 100.0 * static_cast<double>(result.miss_path_cpu_ns) / total;
-  }
+  SetRatios(&result);
   if (out_profile != nullptr) {
     out_profile->functions = dep_.functions();
     profiler::AppendStageCcts(dep_, prof_, out_profile);
@@ -415,36 +332,10 @@ MiniproxyResult Proxy::Run(profiler::ShardProfile* out_profile) {
   return result;
 }
 
-struct MiniproxyShardOutput {
-  MiniproxyResult result;
-  profiler::ShardProfile profile;
-};
-
-MiniproxyResult RunShardedMiniproxy(const MiniproxyOptions& options) {
-  const size_t shards = static_cast<size_t>(options.shards);
-  auto runs = sim::ParallelRunner::Run(
-      shards, static_cast<size_t>(options.threads),
-      [&options, shards](size_t shard, sim::ShardEnv&) {
-        MiniproxyOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.threads = 1;
-        const int base = options.clients / static_cast<int>(shards);
-        const int extra = options.clients % static_cast<int>(shards);
-        shard_options.clients = base + (static_cast<int>(shard) < extra ? 1 : 0);
-        shard_options.seed = options.seed + shard;
-        shard_options.sample_seed =
-            options.sample_seed != 0 ? options.sample_seed + shard : 0;
-        MiniproxyShardOutput out;
-        Proxy proxy(shard_options);
-        proxy.SetShard(shard, shards);
-        out.result = proxy.Run(&out.profile);
-        return out;
-      });
-
+MiniproxyResult Proxy::Merge(const std::vector<MiniproxyResult>& shards,
+                             const profiler::MergedProfile& profile) {
   MiniproxyResult merged;
-  profiler::MergedProfile profile;
-  for (size_t shard = 0; shard < runs.size(); ++shard) {
-    const MiniproxyResult& r = runs[shard].result.result;
+  for (const MiniproxyResult& r : shards) {
     merged.throughput_mbps += r.throughput_mbps;
     merged.requests += r.requests;
     merged.cache_hits += r.cache_hits;
@@ -456,18 +347,8 @@ MiniproxyResult RunShardedMiniproxy(const MiniproxyOptions& options) {
     merged.hit_path_cpu_ns += r.hit_path_cpu_ns;
     merged.miss_path_cpu_ns += r.miss_path_cpu_ns;
     merged.total_cpu_ns += r.total_cpu_ns;
-    profile.Fold(runs[shard].result.profile);
-    runs[shard].env->FoldMetricsInto(obs::Registry());
   }
-  if (merged.cache_hits + merged.cache_misses > 0) {
-    merged.hit_ratio = static_cast<double>(merged.cache_hits) /
-                       static_cast<double>(merged.cache_hits + merged.cache_misses);
-  }
-  if (merged.total_cpu_ns > 0) {
-    const double total = static_cast<double>(merged.total_cpu_ns);
-    merged.hit_path_share = 100.0 * static_cast<double>(merged.hit_path_cpu_ns) / total;
-    merged.miss_path_share = 100.0 * static_cast<double>(merged.miss_path_cpu_ns) / total;
-  }
+  SetRatios(&merged);
   merged.profile_text = profile.RenderTransactionalProfile("squid", 0.001);
   return merged;
 }
@@ -475,11 +356,7 @@ MiniproxyResult RunShardedMiniproxy(const MiniproxyOptions& options) {
 }  // namespace
 
 MiniproxyResult RunMiniproxy(const MiniproxyOptions& options) {
-  if (options.shards > 1) {
-    return RunShardedMiniproxy(options);
-  }
-  Proxy proxy(options);
-  return proxy.Run();
+  return RunSharded<Proxy>(options);
 }
 
 }  // namespace whodunit::apps

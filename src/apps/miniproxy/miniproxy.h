@@ -17,40 +17,17 @@
 #include <cstdint>
 #include <string>
 
-#include "src/callpath/profiler_mode.h"
+#include "src/apps/run_options.h"
 #include "src/sim/time.h"
-#include "src/workload/arrivals.h"
 
 namespace whodunit::apps {
 
-struct MiniproxyOptions {
-  callpath::ProfilerMode mode = callpath::ProfilerMode::kWhodunit;
+// Sampling is per connection: the decision is drawn when the accept
+// event is injected and rides on every event the connection spawns;
+// unsampled connections are dispatched with no context-tree work.
+struct MiniproxyOptions : RunOptions {
   int clients = 48;
   sim::SimTime duration = sim::Seconds(20);
-  uint64_t seed = 1;
-
-  // ---- Open-loop arrivals (src/workload/arrivals.h) -------------------
-  // kind == kClosed reproduces the seed behavior exactly. Open-loop
-  // kinds inject connections on an arrival clock via ~1 generator per
-  // 10k logical clients; with offered_load_tps == 0 the aggregate rate
-  // defaults to one connection per client per second.
-  workload::ArrivalConfig arrivals;
-
-  // ---- Production sampling (docs/PRODUCTION.md) -----------------------
-  // Fraction of client connections that are profiled (the
-  // --sample-rate knob). The decision is drawn when the accept event is
-  // injected and rides on every event the connection spawns; unsampled
-  // connections are dispatched with no context-tree work.
-  double sample_rate = 1.0;
-  // Decision-stream seed; 0 derives it from `seed`.
-  uint64_t sample_seed = 0;
-
-  // Shard-parallel execution (src/sim/parallel_runner.h): shards > 1
-  // partitions the client population into independent deployments
-  // (seed = seed + shard index) merged in shard order. For a fixed
-  // `shards`, the merged result is byte-identical for any `threads`.
-  int shards = 1;
-  int threads = 1;
 };
 
 struct MiniproxyResult {
@@ -74,11 +51,11 @@ struct MiniproxyResult {
   std::string profile_text;
 };
 
-// Runs the proxy. With options.shards > 1 the run fans out over a
-// sim::ParallelRunner: numeric results merge exactly (raw-sum fields;
-// write_handler_context_count takes the per-shard max, since every
-// shard sees the same hit/miss context pair) and profile_text is the
-// canonical cross-shard merge (profiler::MergedProfile).
+// Runs the proxy. With options.shards > 1 the run fans out through
+// RunSharded (src/apps/harness.h): numeric results merge exactly
+// (raw-sum fields; write_handler_context_count takes the per-shard
+// max, since every shard sees the same hit/miss context pair) and
+// profile_text is the canonical cross-shard merge.
 MiniproxyResult RunMiniproxy(const MiniproxyOptions& options);
 
 }  // namespace whodunit::apps

@@ -1,25 +1,17 @@
 #include "src/apps/sedaserver/sedaserver.h"
 
 #include <algorithm>
-#include <list>
+#include <array>
 #include <map>
 #include <memory>
-#include <sstream>
-#include <unordered_map>
 #include <vector>
 
-#include "src/http/http.h"
-#include "src/obs/live/daemon.h"
-#include "src/obs/metrics.h"
-#include "src/profiler/deployment.h"
-#include "src/profiler/shard_merge.h"
-#include "src/profiler/stage_profiler.h"
-#include "src/sim/parallel_runner.h"
+#include "src/apps/harness.h"
 #include "src/seda/stage.h"
 #include "src/sim/channel.h"
 #include "src/sim/cpu.h"
+#include "src/util/lru_cache.h"
 #include "src/util/rng.h"
-#include "src/util/zipf.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
 #include "src/workload/webtrace.h"
@@ -32,10 +24,6 @@ using profiler::StageProfiler;
 using profiler::ThreadProfile;
 using seda::StageGraph;
 using seda::StageId;
-
-// Requests injected by an open-loop generator carry this sentinel
-// client id: no closed-loop coroutine is waiting on client_done_.
-constexpr uint32_t kOpenLoopClient = 0xFFFFFFFFu;
 
 struct ReqState {
   uint32_t client;
@@ -51,21 +39,11 @@ class Haboob {
       : options_(options),
         cpu_(sched_, workload::kWebServerCores, "haboob_cpu"),
         graph_(sched_),
-        prof_(dep_, MakeProfilerOptions(options)),
+        prof_(dep_, StageOptions("haboob", options.mode)),
         accept_ch_(sched_) {
-    dep_.sampling().Configure(profiler::SamplingConfig{
-        options.sample_rate,
-        options.sample_seed != 0 ? options.sample_seed : options.seed});
-    if (options.live) {
-      obs::live::LiveOptions lo;
-      lo.history_bytes = options.live_history_bytes;
-      lo.publish_batch = options.live_publish_batch;
-      daemon_ = std::make_unique<obs::live::Whodunitd>(sched_, lo);
-      dep_.AttachLive(daemon_.get());
-      // The server's stage lives outside the deployment's registry, so
-      // attach it and route the daemon's pre-query flush to it directly.
-      prof_.AttachLive(daemon_.get());
-      daemon_->set_flush_hook([this] { prof_.FlushLive(); });
+    // The server's stage lives outside the deployment's registry.
+    daemon_ = WireProfiling(sched_, dep_, options, &prof_);
+    if (daemon_ != nullptr) {
       // Type names interned once; per-stage span names are interned in
       // Run() after the stage graph is built.
       http_request_sym_ = daemon_->symbols().Intern("http_request");
@@ -74,20 +52,25 @@ class Haboob {
     }
   }
 
-  SedaServerResult Run(profiler::ShardProfile* out_profile = nullptr);
+  SedaServerResult Run(profiler::ShardProfile* out_profile);
 
   void SetShard(size_t index, size_t count) { dep_.set_shard(index, count); }
 
+  static SedaServerResult Merge(const std::vector<SedaServerResult>& shards,
+                                const profiler::MergedProfile& profile);
+  static constexpr std::array<ShardSection<SedaServerResult>, 2> kShardSections{{
+      {&SedaServerResult::live_top_text, true, false},
+      {&SedaServerResult::live_span_json, true, true},
+  }};
+
  private:
-  static StageProfiler::Options MakeProfilerOptions(const SedaServerOptions& options) {
-    StageProfiler::Options po;
-    po.name = "haboob";
-    po.mode = options.mode;
-    po.sample_period = workload::kSamplePeriod;
-    po.costs.per_sample = workload::kPerSampleCost;
-    po.costs.per_call = workload::kPerCallCost;
-    po.costs.per_message_context = workload::kPerMessageContextCost;
-    return po;
+  // WriteStage's hit/miss CPU shares, from the raw accumulators.
+  static void SetShares(SedaServerResult* r) {
+    if (r->total_cpu_ns > 0) {
+      const double total = static_cast<double>(r->total_cpu_ns);
+      r->write_hit_share = 100.0 * static_cast<double>(r->write_hit_cpu_ns) / total;
+      r->write_miss_share = 100.0 * static_cast<double>(r->write_miss_cpu_ns) / total;
+    }
   }
 
   ThreadProfile& TpOf(StageId stage, int worker) {
@@ -163,7 +146,7 @@ class Haboob {
                                LiveJoinStage(wc);
                                ReqState& st = requests_.at(wc.payload);
                                co_await Charge(wc, workload::kCacheLookupCost);
-                               const bool hit = InCache(st.object);
+                               const bool hit = object_cache_.Lookup(st.object);
                                if (daemon_ != nullptr) {
                                  // The cache outcome is this request's real
                                  // type; re-label the live transaction.
@@ -196,7 +179,7 @@ class Haboob {
                                  co_await Charge(
                                      wc, static_cast<sim::SimTime>(
                                              static_cast<double>(bytes) * 1.5));
-                                 InsertCache(st.object);
+                                 object_cache_.Insert(st.object);
                                  LiveLeaveStage(wc);
                                  wc.EnqueueTo(write_, wc.payload);
                                });
@@ -229,26 +212,6 @@ class Haboob {
                              });
   }
 
-  bool InCache(uint32_t object) {
-    auto it = cache_index_.find(object);
-    if (it == cache_index_.end()) {
-      return false;
-    }
-    cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
-    return true;
-  }
-  void InsertCache(uint32_t object) {
-    if (cache_index_.contains(object)) {
-      return;
-    }
-    cache_order_.push_front(object);
-    cache_index_[object] = cache_order_.begin();
-    if (cache_order_.size() > workload::kProxyCacheObjects) {
-      cache_index_.erase(cache_order_.back());
-      cache_order_.pop_back();
-    }
-  }
-
   sim::Process AcceptPump() {
     for (;;) {
       auto conn = co_await accept_ch_.Receive();
@@ -264,20 +227,25 @@ class Haboob {
     }
   }
 
+  // Draws one connection's requests and queues it for ListenStage.
+  void Inject(uint32_t client, util::Rng& rng) {
+    const uint64_t handle = next_handle_++;
+    ReqState st;
+    st.client = client;
+    st.objects = trace_.DrawConnection(rng);
+    st.object = st.objects[0];
+    st.next_index = 1;
+    requests_.emplace(handle, std::move(st));
+    accept_ch_.Send(handle);
+  }
+
   sim::Process Client(uint32_t index, uint64_t seed) {
     util::Rng rng(seed);
     for (;;) {
       if (sched_.now() >= options_.duration) {
         break;
       }
-      const uint64_t handle = next_handle_++;
-      ReqState st;
-      st.client = index;
-      st.objects = trace_.DrawConnection(rng);
-      st.object = st.objects[0];
-      st.next_index = 1;
-      requests_.emplace(handle, std::move(st));
-      accept_ch_.Send(handle);
+      Inject(index, rng);
       auto done = co_await client_done_[index]->Receive();
       if (!done) {
         break;
@@ -297,14 +265,7 @@ class Haboob {
       if (sched_.now() >= options_.duration) {
         break;
       }
-      const uint64_t handle = next_handle_++;
-      ReqState st;
-      st.client = kOpenLoopClient;
-      st.objects = trace_.DrawConnection(draw);
-      st.object = st.objects[0];
-      st.next_index = 1;
-      requests_.emplace(handle, std::move(st));
-      accept_ch_.Send(handle);
+      Inject(kOpenLoopClient, draw);
     }
   }
 
@@ -330,8 +291,7 @@ class Haboob {
   std::map<StageId, std::vector<ThreadProfile*>> worker_tps_;
   std::map<uint64_t, ReqState> requests_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;
-  std::list<uint32_t> cache_order_;
-  std::unordered_map<uint32_t, std::list<uint32_t>::iterator> cache_index_;
+  util::LruCache object_cache_{workload::kProxyCacheObjects};
   uint64_t next_handle_ = 1;
 
   uint64_t bytes_served_ = 0;
@@ -366,34 +326,16 @@ SedaServerResult Haboob::Run(profiler::ShardProfile* out_profile) {
                                                 : "handler:" + std::to_string(id);
   });
 
-  const bool open_loop =
-      options_.arrivals.kind != workload::ArrivalKind::kClosed;
-  if (!open_loop) {
-    for (int c = 0; c < options_.clients; ++c) {
-      client_done_.push_back(std::make_unique<sim::Channel<uint8_t>>(sched_));
-    }
-  }
   graph_.Start();
   sim::Spawn(sched_, AcceptPump());
-  if (open_loop) {
-    const auto clients = static_cast<uint64_t>(options_.clients);
-    const uint64_t per_gen =
-        std::max<uint64_t>(1, options_.arrivals.clients_per_generator);
-    const auto gens = static_cast<int>((clients + per_gen - 1) / per_gen);
-    // Haboob clients have no think time; the 0 mean falls back to
-    // 1 req/client/sec unless --offered-load pins the aggregate.
-    const double tps = workload::EffectiveOfferedTps(
-        options_.arrivals, clients, /*per_client_think_mean=*/0);
-    util::Rng gen_seeder(options_.seed ^ 0x9E3779B97F4A7C15ULL);
-    for (int g = 0; g < gens; ++g) {
-      sim::Spawn(sched_, OpenLoopGenerator(tps / gens, gen_seeder.NextU64()));
-    }
-  } else {
-    util::Rng seeder(options_.seed);
-    for (int c = 0; c < options_.clients; ++c) {
-      sim::Spawn(sched_, Client(static_cast<uint32_t>(c), seeder.NextU64()));
-    }
-  }
+  util::Rng seeder(options_.seed);
+  SpawnLoad(
+      sched_, options_, /*think_mean=*/0, seeder,
+      [this](uint32_t c, uint64_t seed) {
+        client_done_.push_back(std::make_unique<sim::Channel<uint8_t>>(sched_));
+        return Client(c, seed);
+      },
+      [this](double tps, uint64_t seed) { return OpenLoopGenerator(tps, seed); });
 
   const sim::SimTime warmup = options_.duration / 5;
   uint64_t warm_bytes = 0;
@@ -416,82 +358,25 @@ SedaServerResult Haboob::Run(profiler::ShardProfile* out_profile) {
       static_cast<double>(bytes_served_ - warm_bytes) * 8.0 / 1e6 / window_s;
   result.profile_text = prof_.RenderTransactionalProfile(0.001);
 
+  const PathSplit split = SplitByPath(dep_, prof_, {context::ElementKind::kStage, write_},
+                                     {context::ElementKind::kStage, miss_});
+  result.write_stage_context_count = split.contexts;
+  result.write_miss_cpu_ns = split.via_ns;
+  result.write_hit_cpu_ns = split.other_ns;
   result.total_cpu_ns = prof_.total_cpu_time();
-  for (const auto& [label, cct] : prof_.LabeledCcts()) {
-    if (label.parts.empty()) {
-      continue;
-    }
-    const context::TransactionContext& ctxt = dep_.synopses().Lookup(label.parts.back());
-    if (ctxt.elements().empty() ||
-        ctxt.elements().back() !=
-            context::Element{context::ElementKind::kStage, write_}) {
-      continue;
-    }
-    bool via_miss = false;
-    for (const auto& e : ctxt.elements()) {
-      if (e == context::Element{context::ElementKind::kStage, miss_}) {
-        via_miss = true;
-      }
-    }
-    ++result.write_stage_context_count;
-    if (via_miss) {
-      result.write_miss_cpu_ns += cct->TotalCpuTime();
-    } else {
-      result.write_hit_cpu_ns += cct->TotalCpuTime();
-    }
-  }
-  if (result.total_cpu_ns > 0) {
-    const double total = static_cast<double>(result.total_cpu_ns);
-    result.write_hit_share = 100.0 * static_cast<double>(result.write_hit_cpu_ns) / total;
-    result.write_miss_share = 100.0 * static_cast<double>(result.write_miss_cpu_ns) / total;
-  }
+  SetShares(&result);
   if (out_profile != nullptr) {
     out_profile->functions = dep_.functions();
     profiler::AppendStageCcts(dep_, prof_, out_profile);
   }
-  if (daemon_ != nullptr) {
-    // Flush the partial publish batch and drain before snapshotting,
-    // so the exports reflect every published event regardless of
-    // --publish-batch (batch-size invariance).
-    daemon_->Shutdown();
-    sched_.Run();
-    result.live_top_text = daemon_->RenderTop();
-    result.live_span_json = daemon_->ExportSpansJson();
-  }
+  SnapshotLive(daemon_.get(), sched_, &result);
   return result;
 }
 
-struct SedaShardOutput {
-  SedaServerResult result;
-  profiler::ShardProfile profile;
-};
-
-SedaServerResult RunShardedSedaServer(const SedaServerOptions& options) {
-  const size_t shards = static_cast<size_t>(options.shards);
-  auto runs = sim::ParallelRunner::Run(
-      shards, static_cast<size_t>(options.threads),
-      [&options, shards](size_t shard, sim::ShardEnv&) {
-        SedaServerOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.threads = 1;
-        const int base = options.clients / static_cast<int>(shards);
-        const int extra = options.clients % static_cast<int>(shards);
-        shard_options.clients = base + (static_cast<int>(shard) < extra ? 1 : 0);
-        shard_options.seed = options.seed + shard;
-        shard_options.sample_seed =
-            options.sample_seed != 0 ? options.sample_seed + shard : 0;
-        SedaShardOutput out;
-        Haboob haboob(shard_options);
-        haboob.SetShard(shard, shards);
-        out.result = haboob.Run(&out.profile);
-        return out;
-      });
-
+SedaServerResult Haboob::Merge(const std::vector<SedaServerResult>& shards,
+                               const profiler::MergedProfile& profile) {
   SedaServerResult merged;
-  profiler::MergedProfile profile;
-  std::ostringstream live_top, live_spans;
-  for (size_t shard = 0; shard < runs.size(); ++shard) {
-    const SedaServerResult& r = runs[shard].result.result;
+  for (const SedaServerResult& r : shards) {
     merged.throughput_mbps += r.throughput_mbps;
     merged.requests += r.requests;
     merged.cache_hits += r.cache_hits;
@@ -503,32 +388,16 @@ SedaServerResult RunShardedSedaServer(const SedaServerOptions& options) {
     merged.write_hit_cpu_ns += r.write_hit_cpu_ns;
     merged.write_miss_cpu_ns += r.write_miss_cpu_ns;
     merged.total_cpu_ns += r.total_cpu_ns;
-    profile.Fold(runs[shard].result.profile);
-    if (options.live) {
-      live_top << "=== shard " << shard << " ===\n" << r.live_top_text;
-      live_spans << "=== shard " << shard << " ===\n" << r.live_span_json;
-    }
-    runs[shard].env->FoldMetricsInto(obs::Registry());
   }
-  if (merged.total_cpu_ns > 0) {
-    const double total = static_cast<double>(merged.total_cpu_ns);
-    merged.write_hit_share = 100.0 * static_cast<double>(merged.write_hit_cpu_ns) / total;
-    merged.write_miss_share = 100.0 * static_cast<double>(merged.write_miss_cpu_ns) / total;
-  }
+  SetShares(&merged);
   merged.profile_text = profile.RenderTransactionalProfile("haboob", 0.001);
-  merged.live_top_text = live_top.str();
-  merged.live_span_json = live_spans.str();
   return merged;
 }
 
 }  // namespace
 
 SedaServerResult RunSedaServer(const SedaServerOptions& options) {
-  if (options.shards > 1) {
-    return RunShardedSedaServer(options);
-  }
-  Haboob haboob(options);
-  return haboob.Run();
+  return RunSharded<Haboob>(options);
 }
 
 }  // namespace whodunit::apps

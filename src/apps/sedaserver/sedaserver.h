@@ -17,25 +17,19 @@
 #include <cstdint>
 #include <string>
 
-#include "src/callpath/profiler_mode.h"
+#include "src/apps/run_options.h"
 #include "src/sim/time.h"
-#include "src/workload/arrivals.h"
 
 namespace whodunit::apps {
 
-struct SedaServerOptions {
-  callpath::ProfilerMode mode = callpath::ProfilerMode::kWhodunit;
+// Sampling is per HTTP request: the decision is drawn when a request
+// is injected into ListenStage and rides on every queue element it
+// spawns; unsampled requests cross the stage graph with no context-tree
+// work.
+struct SedaServerOptions : RunOptions {
   int clients = 48;
   int workers_per_stage = 2;
   sim::SimTime duration = sim::Seconds(20);
-  uint64_t seed = 1;
-
-  // ---- Open-loop arrivals (src/workload/arrivals.h) -------------------
-  // kind == kClosed reproduces the seed behavior exactly. Open-loop
-  // kinds inject requests on an arrival clock via ~1 generator per
-  // 10k logical clients; with offered_load_tps == 0 the aggregate rate
-  // defaults to one request per client per second.
-  workload::ArrivalConfig arrivals;
   // Attach a whodunitd live-observability daemon (src/obs/live): each
   // HTTP request becomes a live transaction with one span per SEDA
   // stage it passes through, re-typed cache_hit/cache_miss at the
@@ -48,22 +42,6 @@ struct SedaServerOptions {
   // transactions flush to the daemon in batches of this size. Final
   // exports are byte-identical for any value ≥ 1.
   size_t live_publish_batch = 64;
-
-  // ---- Production sampling (docs/PRODUCTION.md) -----------------------
-  // Fraction of HTTP requests that are profiled (the --sample-rate
-  // knob). The decision is drawn once when a request is injected into
-  // ListenStage and rides on every queue element it spawns; unsampled
-  // requests cross the stage graph with no context-tree work.
-  double sample_rate = 1.0;
-  // Decision-stream seed; 0 derives it from `seed`.
-  uint64_t sample_seed = 0;
-
-  // Shard-parallel execution (src/sim/parallel_runner.h): shards > 1
-  // partitions the client population into independent deployments
-  // (seed = seed + shard index) merged in shard order. For a fixed
-  // `shards`, the merged result is byte-identical for any `threads`.
-  int shards = 1;
-  int threads = 1;
 };
 
 struct SedaServerResult {
@@ -89,12 +67,12 @@ struct SedaServerResult {
   std::string live_span_json;
 };
 
-// Runs the SEDA server. With options.shards > 1 the run fans out over
-// a sim::ParallelRunner: numeric results merge exactly (raw-sum
-// fields; write_stage_context_count takes the per-shard max, since
-// every shard sees the same hit/miss context pair), profile_text is
-// the canonical cross-shard merge (profiler::MergedProfile), and the
-// live snapshots are per-shard sections in shard order.
+// Runs the SEDA server. With options.shards > 1 the run fans out
+// through RunSharded (src/apps/harness.h): numeric results merge
+// exactly (raw-sum fields; write_stage_context_count takes the
+// per-shard max, since every shard sees the same hit/miss context
+// pair), profile_text is the canonical cross-shard merge, and the live
+// snapshots are per-shard sections.
 SedaServerResult RunSedaServer(const SedaServerOptions& options);
 
 }  // namespace whodunit::apps

@@ -9,16 +9,7 @@
 // snapshot and can dump the retained transactions as Chrome trace
 // JSON (load in chrome://tracing or https://ui.perfetto.dev).
 //
-// Usage:
-//   whodunit_top [--duration S] [--warmup S] [--clients N]
-//                [--interval S] [--ring N] [--span-out FILE]
-//                [--json-out FILE] [--no-clear] [--seed N]
-//                [--shards S] [--threads T]
-//                [--sample-rate R] [--sample-seed N] [--history-bytes B]
-//                [--publish-batch N]
-//                [--why-tail] [--attr-out FILE] [--no-attribution]
-//
-// --sample-rate R profiles a fraction R of transactions (the
+// `whodunit_top --help` lists the flags. --sample-rate R profiles a fraction R of transactions (the
 // production-sampling knob, docs/PRODUCTION.md); the header then shows
 // the sampled/total ratio. --history-bytes B bounds the daemon's
 // retained-transaction store (oldest evicted first; 0 disables).
@@ -37,35 +28,26 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "src/apps/bookstore/bookstore.h"
-#include "src/callpath/profiler_mode.h"
 #include "src/sim/time.h"
+#include "src/util/parse.h"
 
 namespace {
 
-struct Flags {
-  long duration_s = 300;
-  long warmup_s = 30;
-  int clients = 100;
-  long interval_s = 30;
-  size_t ring = 128;
+using whodunit::util::ParseNumberOrExit;
+
+// The console's own settings; every simulation knob parses straight
+// into BookstoreOptions.
+struct Console {
+  bool clear_screen = true;
+  bool why_tail = false;
   std::string span_out;
   std::string json_out;
-  bool clear_screen = true;
-  uint64_t seed = 1;
-  int shards = 1;
-  int threads = 1;
-  double sample_rate = 1.0;
-  uint64_t sample_seed = 0;
-  size_t history_bytes = 1 << 20;
-  size_t publish_batch = 64;
-  bool why_tail = false;
   std::string attr_out;
-  bool attribution = true;
-  whodunit::workload::ArrivalConfig arrivals;
 };
 
 void Usage(const char* argv0) {
@@ -81,59 +63,70 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-bool ParseFlags(int argc, char** argv, Flags* flags) {
+// Numeric flags are range-checked: a malformed or out-of-range value
+// prints one line naming the flag and exits 2.
+bool ParseFlags(int argc, char** argv, whodunit::apps::BookstoreOptions* o, Console* console) {
+  constexpr int64_t kMaxSeconds = 100'000'000;
+  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](long* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::strtol(argv[++i], nullptr, 10);
-      return true;
+    const auto value = [&]() -> std::string_view {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+        std::exit(2);
+      }
+      return argv[++i];
     };
-    long v = 0;
-    if (arg == "--duration" && next(&v)) {
-      flags->duration_s = v;
-    } else if (arg == "--warmup" && next(&v)) {
-      flags->warmup_s = v;
-    } else if (arg == "--clients" && next(&v)) {
-      flags->clients = static_cast<int>(v);
-    } else if (arg == "--interval" && next(&v)) {
-      flags->interval_s = v;
-    } else if (arg == "--ring" && next(&v)) {
-      flags->ring = static_cast<size_t>(v);
-    } else if (arg == "--seed" && next(&v)) {
-      flags->seed = static_cast<uint64_t>(v);
-    } else if (arg == "--shards" && next(&v)) {
-      flags->shards = static_cast<int>(v);
-    } else if (arg == "--threads" && next(&v)) {
-      flags->threads = static_cast<int>(v);
-    } else if (arg == "--sample-rate" && i + 1 < argc) {
-      flags->sample_rate = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--sample-seed" && next(&v)) {
-      flags->sample_seed = static_cast<uint64_t>(v);
-    } else if (arg == "--history-bytes" && next(&v)) {
-      flags->history_bytes = static_cast<size_t>(v);
-    } else if (arg == "--publish-batch" && next(&v)) {
-      flags->publish_batch = static_cast<size_t>(v);
+    const auto integer = [&](int64_t min, int64_t max) {
+      return ParseNumberOrExit<int64_t>(arg, value(), min, max);
+    };
+    const auto seconds = [&](int64_t min) {
+      return whodunit::sim::Seconds(integer(min, kMaxSeconds));
+    };
+    if (arg == "--duration") {
+      o->duration = seconds(1);
+    } else if (arg == "--warmup") {
+      o->warmup = seconds(0);
+    } else if (arg == "--clients") {
+      o->clients = static_cast<int>(integer(1, std::numeric_limits<int>::max()));
+    } else if (arg == "--interval") {
+      o->live_poll_interval = seconds(1);
+    } else if (arg == "--ring") {
+      o->live_span_ring = static_cast<size_t>(integer(0, 1 << 20));
+    } else if (arg == "--seed") {
+      o->seed = ParseNumberOrExit<uint64_t>(arg, value(), 0, kMaxU64);
+    } else if (arg == "--shards") {
+      o->shards = static_cast<int>(integer(1, 1024));
+    } else if (arg == "--threads") {
+      o->threads = static_cast<int>(integer(1, 1024));
+    } else if (arg == "--sample-rate") {
+      o->sample_rate = ParseNumberOrExit(arg, value(), 0.0, 1.0);
+    } else if (arg == "--sample-seed") {
+      o->sample_seed = ParseNumberOrExit<uint64_t>(arg, value(), 0, kMaxU64);
+    } else if (arg == "--history-bytes") {
+      o->live_history_bytes = static_cast<size_t>(integer(0, int64_t{1} << 40));
+    } else if (arg == "--publish-batch") {
+      o->live_publish_batch = static_cast<size_t>(integer(1, 1 << 20));
     } else if (arg == "--why-tail") {
-      flags->why_tail = true;
-    } else if (arg == "--attr-out" && i + 1 < argc) {
-      flags->attr_out = argv[++i];
+      console->why_tail = true;
+    } else if (arg == "--attr-out") {
+      console->attr_out = value();
     } else if (arg == "--no-attribution") {
-      flags->attribution = false;
-    } else if (arg == "--arrivals" && i + 1 < argc) {
-      const std::string kind = argv[++i];
-      if (!whodunit::workload::ParseArrivalKind(kind, &flags->arrivals.kind)) {
+      o->live_attribution = false;
+    } else if (arg == "--arrivals") {
+      const std::string kind(value());
+      if (!whodunit::workload::ParseArrivalKind(kind, &o->arrivals.kind)) {
         std::fprintf(stderr, "bad --arrivals value: %s\n", kind.c_str());
         return false;
       }
-    } else if (arg == "--offered-load" && i + 1 < argc) {
-      flags->arrivals.offered_load_tps = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--span-out" && i + 1 < argc) {
-      flags->span_out = argv[++i];
-    } else if (arg == "--json-out" && i + 1 < argc) {
-      flags->json_out = argv[++i];
+    } else if (arg == "--offered-load") {
+      o->arrivals.offered_load_tps = ParseNumberOrExit(arg, value(), 0.0, 1e9);
+    } else if (arg == "--span-out") {
+      console->span_out = value();
+    } else if (arg == "--json-out") {
+      console->json_out = value();
     } else if (arg == "--no-clear") {
-      flags->clear_screen = false;
+      console->clear_screen = false;
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       std::exit(0);
@@ -142,6 +135,10 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       Usage(argv[0]);
       return false;
     }
+  }
+  if (o->warmup >= o->duration) {
+    std::fprintf(stderr, "--warmup must be shorter than --duration\n");
+    return false;
   }
   return true;
 }
@@ -160,35 +157,22 @@ bool WriteFile(const std::string& path, const std::string& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) return 2;
-
   whodunit::apps::BookstoreOptions options;
-  options.mode = whodunit::callpath::ProfilerMode::kWhodunit;
-  options.clients = flags.clients;
-  options.duration = whodunit::sim::Seconds(flags.duration_s);
-  options.warmup = whodunit::sim::Seconds(flags.warmup_s);
-  options.seed = flags.seed;
+  options.duration = whodunit::sim::Seconds(300);
+  options.warmup = whodunit::sim::Seconds(30);
   options.live = true;
-  options.sample_rate = flags.sample_rate;
-  options.sample_seed = flags.sample_seed;
-  options.live_history_bytes = flags.history_bytes;
-  options.live_publish_batch = flags.publish_batch;
-  options.live_span_ring = flags.ring;
-  options.live_attribution = flags.attribution;
-  options.live_poll_interval = whodunit::sim::Seconds(flags.interval_s);
-  options.shards = flags.shards;
-  options.threads = flags.threads;
-  options.arrivals = flags.arrivals;
-  if (flags.shards > 1) {
+  Console console;
+  if (!ParseFlags(argc, argv, &options, &console)) return 2;
+
+  if (options.shards > 1) {
     // RunBookstore ignores on_live_top when sharded; say so up front
     // rather than silently never refreshing.
     std::printf("[%d shards on %d threads: periodic refresh disabled, "
                 "final merged snapshot only]\n",
-                flags.shards, flags.threads);
+                options.shards, options.threads);
   } else {
-    options.on_live_top = [&flags](const std::string& table) {
-      if (flags.clear_screen) {
+    options.on_live_top = [&console](const std::string& table) {
+      if (console.clear_screen) {
         std::fputs("\x1b[H\x1b[2J", stdout);  // cursor home + clear
       }
       std::fputs(table.c_str(), stdout);
@@ -198,9 +182,9 @@ int main(int argc, char** argv) {
 
   const auto result = whodunit::apps::RunBookstore(options);
 
-  if (flags.clear_screen) std::fputs("\x1b[H\x1b[2J", stdout);
+  if (console.clear_screen) std::fputs("\x1b[H\x1b[2J", stdout);
   std::fputs(result.live_top_text.c_str(), stdout);
-  if (flags.why_tail) {
+  if (console.why_tail) {
     std::fputs(result.live_why_tail_text.c_str(), stdout);
   }
   std::printf("\n[run complete: %.0f interactions/min, %llu interactions]\n",
@@ -208,25 +192,25 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.interactions));
 
   int rc = 0;
-  if (!flags.attr_out.empty()) {
-    if (WriteFile(flags.attr_out, result.live_attr_folded)) {
+  if (!console.attr_out.empty()) {
+    if (WriteFile(console.attr_out, result.live_attr_folded)) {
       std::printf("attribution profile written to %s (whodunit-attr-v1)\n",
-                  flags.attr_out.c_str());
+                  console.attr_out.c_str());
     } else {
       rc = 1;
     }
   }
-  if (!flags.span_out.empty()) {
-    if (WriteFile(flags.span_out, result.live_span_json)) {
+  if (!console.span_out.empty()) {
+    if (WriteFile(console.span_out, result.live_span_json)) {
       std::printf("spans written to %s (load in chrome://tracing)\n",
-                  flags.span_out.c_str());
+                  console.span_out.c_str());
     } else {
       rc = 1;
     }
   }
-  if (!flags.json_out.empty()) {
-    if (WriteFile(flags.json_out, result.live_query_json)) {
-      std::printf("query snapshot written to %s\n", flags.json_out.c_str());
+  if (!console.json_out.empty()) {
+    if (WriteFile(console.json_out, result.live_query_json)) {
+      std::printf("query snapshot written to %s\n", console.json_out.c_str());
     } else {
       rc = 1;
     }

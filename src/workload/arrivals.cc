@@ -54,6 +54,21 @@ double EffectiveOfferedTps(const ArrivalConfig& cfg, uint64_t clients,
          (kNsPerSec / static_cast<double>(per_client_think_mean));
 }
 
+void ForEachGenerator(const ArrivalConfig& cfg, int clients,
+                      sim::SimTime per_client_think_mean, uint64_t seed,
+                      const std::function<void(double tps, uint64_t seed)>& spawn) {
+  const auto population = static_cast<uint64_t>(std::max(clients, 0));
+  const uint64_t per_gen = cfg.clients_per_generator > 0
+                               ? cfg.clients_per_generator
+                               : ArrivalConfig{}.clients_per_generator;
+  const uint64_t gens = (population + per_gen - 1) / per_gen;
+  const double tps = EffectiveOfferedTps(cfg, population, per_client_think_mean);
+  util::Rng seeder(seed ^ 0x9E3779B97F4A7C15ULL);
+  for (uint64_t g = 0; g < gens; ++g) {
+    spawn(tps / static_cast<double>(gens), seeder.NextU64());
+  }
+}
+
 ArrivalProcess::ArrivalProcess(const ArrivalConfig& cfg, double tps,
                                uint64_t seed)
     : rng_(seed), kind_(cfg.kind) {

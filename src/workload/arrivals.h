@@ -26,6 +26,7 @@
 #define SRC_WORKLOAD_ARRIVALS_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "src/sim/time.h"
@@ -53,7 +54,8 @@ struct ArrivalConfig {
   // population would offer if it never had to wait.
   double offered_load_tps = 0.0;
 
-  // Logical clients one generator coroutine stands in for.
+  // Logical clients one generator coroutine stands in for (0 = this
+  // default).
   uint64_t clients_per_generator = 10000;
 
   // Bursty (MMPP) shape: the ON state offers burst_factor x the mean
@@ -69,6 +71,15 @@ struct ArrivalConfig {
 // clients: cfg.offered_load_tps if set, else clients / think_mean.
 double EffectiveOfferedTps(const ArrivalConfig& cfg, uint64_t clients,
                            sim::SimTime per_client_think_mean);
+
+// Calls spawn(tps, seed) once per open-loop generator of `clients`
+// logical clients. By Poisson superposition each of the ceil(clients /
+// clients_per_generator) generators carries an equal slice of
+// EffectiveOfferedTps. Generator seeds come from their own stream
+// derived from `seed`, leaving the closed-loop seed stream untouched.
+void ForEachGenerator(const ArrivalConfig& cfg, int clients,
+                      sim::SimTime per_client_think_mean, uint64_t seed,
+                      const std::function<void(double tps, uint64_t seed)>& spawn);
 
 // One generator's arrival clock: a deterministic stream of
 // interarrival gaps for an aggregate rate of `tps` transactions/sec.

@@ -24,9 +24,6 @@ inline constexpr sim::SimTime CyclesToNs(int64_t cycles) {
 
 // Switched gigabit ethernet: ~30 us one-way for small messages.
 inline constexpr sim::SimTime kLanLatency = sim::Micros(30);
-// Wire time per byte at 1 Gb/s ≈ 0.8 ns (modelled only where byte
-// volume matters, i.e. large response bodies).
-inline constexpr double kWireNsPerByte = 0.8;
 
 // ---- Profiler costs (paper §9.1) ---------------------------------------
 // gprof's default sampling frequency on the paper's platform: 666 Hz.

@@ -4,12 +4,17 @@
 // shards. threads == 1 runs every shard inline on the calling thread,
 // so the sweep also proves the parallel runs match a serial fold of
 // the same shard list.
+#include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/bookstore/bookstore.h"
+#include "src/apps/minihttpd/minihttpd.h"
+#include "src/apps/miniproxy/miniproxy.h"
+#include "src/apps/sedaserver/sedaserver.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/sim/parallel_runner.h"
@@ -196,6 +201,116 @@ TEST(ShardInvarianceTest, FoldedMetricsExportIsThreadCountInvariant) {
       continue;
     }
     EXPECT_EQ(json, reference_json) << threads << " threads";
+  }
+}
+
+// The three web servers share the bookstore's harness (src/apps/
+// harness.h), so each must keep the same contract. A case flattens an
+// app's merged result — profile text, live sections, every numeric
+// field (doubles in hexfloat, so equality is exact) — into one string.
+struct WebAppCase {
+  const char* name;
+  std::string (*fingerprint)(int shards, int threads);
+  // Completed connections (minihttpd) or requests of an open-loop
+  // Poisson run at an explicit aggregate offered load.
+  uint64_t (*open_loop_total)(int shards, double offered_tps);
+};
+
+template <typename Options>
+Options WebRun(int shards, int threads) {
+  Options o;
+  o.clients = 4;
+  o.duration = sim::Seconds(1);
+  o.shards = shards;
+  o.threads = threads;
+  return o;
+}
+
+template <typename Options>
+Options OpenLoopRun(int shards, double offered_tps) {
+  Options o = WebRun<Options>(shards, shards);
+  o.clients = 64;
+  o.duration = sim::Seconds(20);
+  o.arrivals.kind = workload::ArrivalKind::kPoisson;
+  o.arrivals.offered_load_tps = offered_tps;
+  return o;
+}
+
+const WebAppCase kWebApps[] = {
+    {"minihttpd",
+     [](int shards, int threads) {
+       auto o = WebRun<apps::MinihttpdOptions>(shards, threads);
+       o.live = true;
+       const apps::MinihttpdResult r = apps::RunMinihttpd(o);
+       std::ostringstream s;
+       s << std::hexfloat << r.throughput_mbps << ' ' << r.requests << ' ' << r.connections
+         << ' ' << r.bytes_served << ' ' << r.flows_detected << ' ' << r.queue_flow_detected
+         << ' ' << r.allocator_demoted << ' ' << r.critical_sections_emulated << ' '
+         << r.listener_context_share << ' ' << r.worker_context_share << ' '
+         << r.origin_cpu_ns << ' ' << r.total_cpu_ns << '\n'
+         << r.profile_text << r.live_top_text << r.live_span_json;
+       return s.str();
+     },
+     [](int shards, double offered_tps) {
+       return apps::RunMinihttpd(OpenLoopRun<apps::MinihttpdOptions>(shards, offered_tps))
+           .connections;
+     }},
+    {"miniproxy",
+     [](int shards, int threads) {
+       const apps::MiniproxyResult r =
+           apps::RunMiniproxy(WebRun<apps::MiniproxyOptions>(shards, threads));
+       std::ostringstream s;
+       s << std::hexfloat << r.throughput_mbps << ' ' << r.requests << ' ' << r.cache_hits
+         << ' ' << r.cache_misses << ' ' << r.hit_ratio << ' '
+         << r.write_handler_context_count << ' ' << r.hit_path_share << ' '
+         << r.miss_path_share << ' ' << r.hit_path_cpu_ns << ' ' << r.miss_path_cpu_ns << ' '
+         << r.total_cpu_ns << '\n'
+         << r.profile_text;
+       return s.str();
+     },
+     [](int shards, double offered_tps) {
+       return apps::RunMiniproxy(OpenLoopRun<apps::MiniproxyOptions>(shards, offered_tps))
+           .requests;
+     }},
+    {"sedaserver",
+     [](int shards, int threads) {
+       auto o = WebRun<apps::SedaServerOptions>(shards, threads);
+       o.live = true;
+       const apps::SedaServerResult r = apps::RunSedaServer(o);
+       std::ostringstream s;
+       s << std::hexfloat << r.throughput_mbps << ' ' << r.requests << ' ' << r.cache_hits
+         << ' ' << r.cache_misses << ' ' << r.write_stage_context_count << ' '
+         << r.write_hit_share << ' ' << r.write_miss_share << ' ' << r.write_hit_cpu_ns << ' '
+         << r.write_miss_cpu_ns << ' ' << r.total_cpu_ns << '\n'
+         << r.profile_text << r.live_top_text << r.live_span_json;
+       return s.str();
+     },
+     [](int shards, double offered_tps) {
+       return apps::RunSedaServer(OpenLoopRun<apps::SedaServerOptions>(shards, offered_tps))
+           .requests;
+     }},
+};
+
+TEST(ShardInvarianceTest, WebAppsAreByteIdenticalAcrossThreadCounts) {
+  for (const WebAppCase& app : kWebApps) {
+    const std::string reference = app.fingerprint(/*shards=*/4, /*threads=*/1);
+    ASSERT_NE(reference.find("transactional profile"), std::string::npos) << app.name;
+    for (int threads : {2, 4}) {
+      EXPECT_EQ(app.fingerprint(4, threads), reference) << app.name << ", " << threads
+                                                        << " threads";
+    }
+  }
+}
+
+TEST(ShardInvarianceTest, OfferedLoadIsTheAggregateAcrossShards) {
+  // --offered-load is the whole run's rate: four shards each offer a
+  // quarter of it, so the sharded run completes about as much work as
+  // the unsharded one (not four times as much).
+  for (const WebAppCase& app : kWebApps) {
+    const double one = static_cast<double>(app.open_loop_total(/*shards=*/1, 100.0));
+    const double four = static_cast<double>(app.open_loop_total(/*shards=*/4, 100.0));
+    ASSERT_GT(one, 0.0) << app.name;
+    EXPECT_NEAR(four / one, 1.0, 0.10) << app.name << ": " << four << " vs " << one;
   }
 }
 
