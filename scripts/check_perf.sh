@@ -40,8 +40,15 @@
 #   * derived.scheduler_speedup (heap Step() cost over ladder Step()
 #     cost at 2^17 pending events) must stay >= 2.0. Within-run ratio,
 #     but wall-clock-derived, so CHECK_PERF_WARN_ONLY demotes it.
+#   * BM_LadderHold must be no slower than BM_HeapHold at 64, 1024 and
+#     16384 pending events, the depths the paper benches run at. Same
+#     kind of within-run ratio, so CHECK_PERF_WARN_ONLY demotes it.
 #   * derived.events_per_sec must stay above an absolute floor; raw
 #     wall clock, so CHECK_PERF_WARN_ONLY demotes it.
+#
+# bench_fig12_throughput's wall time (fastest fresh run) must stay
+# within 10% of the committed baseline's median. Raw wall clock, so
+# CHECK_PERF_WARN_ONLY demotes it.
 #
 # Usage: scripts/check_perf.sh [-B BUILD_DIR] [-n RUNS]
 set -u
@@ -254,6 +261,18 @@ print(f"check_perf: scheduler_speedup {speedup:.2f}x at 131072 pending (floor 2.
 if speedup < 2.0:
     miss(f"ladder-vs-heap speedup {speedup:.2f}x is below the 2x floor")
 
+# At the paper benches' depths the calendar must not lose to the heap.
+gb = doc.get("google_benchmark", {})
+for depth in (64, 1024, 16384):
+    ladder = gb.get(f"BM_LadderHold/{depth}", {}).get("cpu_time_ns")
+    heap = gb.get(f"BM_HeapHold/{depth}", {}).get("cpu_time_ns")
+    if ladder is None or heap is None:
+        print(f"check_perf: hold timings at {depth} missing from bench JSON", file=sys.stderr)
+        sys.exit(1)
+    print(f"check_perf: hold at {depth} pending: ladder {ladder:.1f} ns vs heap {heap:.1f} ns (ladder must not be slower)")
+    if ladder > heap:
+        miss(f"ladder Step() {ladder:.1f} ns is slower than the heap's {heap:.1f} ns at {depth} pending")
+
 # Engine throughput at the sweep's top scale. Absolute floor rather
 # than a baseline diff: the gate sweep tops out at 100k clients while
 # committed baselines record the 1M point, so the two are not
@@ -269,6 +288,30 @@ if eps < floor:
 
 if failed:
     sys.exit(1)
+PYEOF
+[ $? -eq 0 ] || exit 1
+
+# fig12 wall time against its committed baseline: the app-level check
+# that would have caught a calendar regression the micro-benches miss.
+# Fresh min against baseline median, as for the emulation gate below.
+python3 - "$repo_root/bench/baselines/BENCH_fig12_throughput.json" \
+    "$fresh_dir/BENCH_fig12_throughput.json" "$threshold_pct" <<'PYEOF'
+import json, os, sys
+
+baseline_path, fresh_path, threshold = sys.argv[1], sys.argv[2], float(sys.argv[3])
+with open(baseline_path) as f:
+    base = json.load(f)["wall_ms"]["median"]
+with open(fresh_path) as f:
+    now = json.load(f)["wall_ms"]["min"]
+delta_pct = 100.0 * (now - base) / base
+print(f"check_perf: fig12 wall {base:.0f} ms (baseline) -> {now:.0f} ms (fresh min), {delta_pct:+.1f}%")
+if delta_pct > threshold:
+    msg = f"bench_fig12_throughput wall time regressed {delta_pct:.1f}% (> {threshold:.0f}% threshold)"
+    if os.environ.get("CHECK_PERF_WARN_ONLY") == "1":
+        print(f"WARNING (CHECK_PERF_WARN_ONLY=1): {msg}", file=sys.stderr)
+    else:
+        print(f"FAIL: {msg}", file=sys.stderr)
+        sys.exit(1)
 PYEOF
 [ $? -eq 0 ] || exit 1
 

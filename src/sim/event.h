@@ -1,7 +1,9 @@
-// Scheduled-event record: a small-buffer-optimized, move-only callable
-// that replaces std::function<void()> in the scheduler's calendar.
+// The scheduler's calendar records: a fixed-size event payload, the
+// stable slab it lives in while it is pending, and the 16-byte key the
+// event queue orders.
 //
-// Three representations, discriminated by vt_:
+// Event is a small-buffer-optimized callable that replaces
+// std::function<void()>. Three representations, discriminated by vt_:
 //   * coroutine resume (vt_ == nullptr): just a coroutine_handle —
 //     the overwhelmingly common case (Delay, locks, channels, CPU all
 //     suspend/resume coroutines). Zero allocation, zero indirection
@@ -11,15 +13,25 @@
 //   * overflow callable: larger lambdas (e.g. a Channel::Send carrying
 //     a fat message) live in a block from the per-thread ArenaPool, so
 //     even the overflow path recycles memory instead of hitting malloc.
+//
+// sim::Scheduler builds each event in place in an EventSlab slot and
+// fires it there, so a scheduled payload is never moved; its queue
+// shuffles only EventKeys. Events stay movable for the binary-heap
+// oracle (src/sim/heap_scheduler.h), which keeps whole events in its
+// heap as the calendar did before the slab.
 #ifndef SRC_SIM_EVENT_H_
 #define SRC_SIM_EVENT_H_
 
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "src/sim/time.h"
 #include "src/util/arena.h"
@@ -28,8 +40,9 @@ namespace whodunit::sim {
 
 class Event {
  public:
-  // Sized so ScheduledEvent (time + seq + Event) stays within 80 bytes;
-  // covers every capture list in the simulator's hot paths.
+  // 48 bytes of storage plus the vtable pointer make a 64-byte Event
+  // (one cache line in an EventSlab); covers every capture list in the
+  // simulator's hot paths.
   static constexpr size_t kInlineBytes = 48;
   static constexpr size_t kInlineAlign = 16;
 
@@ -46,28 +59,23 @@ class Event {
   Event& operator=(const Event&) = delete;
   ~Event() { Reset(); }
 
-  static Event Resume(std::coroutine_handle<> h) noexcept {
-    Event e;
-    e.h_ = h;
-    return e;
-  }
+  // Stores a payload in an empty event.
+  void SetResume(std::coroutine_handle<> h) noexcept { h_ = h; }
 
   template <typename F>
-  static Event Of(F&& f) {
+  void Set(F&& f) {
     using Fn = std::decay_t<F>;
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "overaligned event callables are not supported");
-    Event e;
     if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign &&
                   std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(e.inline_)) Fn(std::forward<F>(f));
-      e.vt_ = &InlineOps<Fn>::vt;
+      ::new (static_cast<void*>(inline_)) Fn(std::forward<F>(f));
+      vt_ = &InlineOps<Fn>::vt;
     } else {
       void* mem = util::ArenaPool::ThisThread().Allocate(sizeof(Fn));
-      e.heap_ = ::new (mem) Fn(std::forward<F>(f));
-      e.vt_ = &HeapOps<Fn>::vt;
+      heap_ = ::new (mem) Fn(std::forward<F>(f));
+      vt_ = &HeapOps<Fn>::vt;
     }
-    return e;
   }
 
   // Runs the payload and releases it; the event is empty afterwards.
@@ -88,15 +96,12 @@ class Event {
   explicit operator bool() const noexcept {
     return vt_ != nullptr || h_ != nullptr;
   }
-  // True when the payload lives in an arena-pooled overflow block.
-  bool overflow() const noexcept { return vt_ != nullptr && vt_->heap; }
 
  private:
   struct VTable {
     void (*invoke)(Event&);
     void (*destroy)(Event&) noexcept;
     void (*relocate)(Event& dst, Event& src) noexcept;
-    bool heap;
   };
 
   template <typename Fn>
@@ -110,8 +115,7 @@ class Event {
       ::new (static_cast<void*>(dst.inline_)) Fn(std::move(*Ptr(src)));
       Ptr(src)->~Fn();
     }
-    static constexpr VTable vt = {&Invoke, &Destroy, &Relocate,
-                                  /*heap=*/false};
+    static constexpr VTable vt = {&Invoke, &Destroy, &Relocate};
   };
 
   template <typename Fn>
@@ -125,8 +129,7 @@ class Event {
     static void Relocate(Event& dst, Event& src) noexcept {
       dst.heap_ = src.heap_;
     }
-    static constexpr VTable vt = {&Invoke, &Destroy, &Relocate,
-                                  /*heap=*/true};
+    static constexpr VTable vt = {&Invoke, &Destroy, &Relocate};
   };
 
   void MoveFrom(Event& other) noexcept {
@@ -156,25 +159,86 @@ class Event {
   const VTable* vt_ = nullptr;
 };
 
-// A calendar entry. The (time, seq) pair is a total order — seq is a
-// scheduler-global insertion counter — so ANY correct priority queue
-// executes the same sequence, which is what keeps shard merges
-// byte-identical no matter which queue implementation runs underneath.
-struct ScheduledEvent {
+static_assert(sizeof(Event) == 64, "an Event fills one cache line");
+
+// What the event queue orders: 16 bytes, no payload. (time, seq) is a
+// total order — seq is a scheduler-global insertion counter — so ANY
+// correct priority queue executes the same sequence, which is what
+// keeps shard merges byte-identical no matter which queue runs
+// underneath. The payload's slab slot rides in the low kSlotBits of
+// the same word as seq; since seqs are unique, comparing the packed
+// word compares seq.
+struct EventKey {
+  static constexpr int kSlotBits = 24;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  static constexpr uint64_t kMaxSeq = ~uint64_t{0} >> kSlotBits;
+
   SimTime time;
-  uint64_t seq;
-  Event ev;
+  uint64_t tag;  // seq << kSlotBits | slot
+
+  static EventKey Make(SimTime time, uint64_t seq, uint32_t slot) noexcept {
+    return {time, seq << kSlotBits | slot};
+  }
+  uint32_t slot() const noexcept { return static_cast<uint32_t>(tag & kSlotMask); }
 };
 
-inline bool EventBefore(SimTime at, uint64_t aseq, SimTime bt,
-                        uint64_t bseq) noexcept {
-  return at != bt ? at < bt : aseq < bseq;
+static_assert(sizeof(EventKey) == 16, "calendar keys are 16 bytes");
+
+inline bool EventBefore(const EventKey& a, const EventKey& b) noexcept {
+  return a.time != b.time ? a.time < b.time : a.tag < b.tag;
 }
 
-inline bool EventBefore(const ScheduledEvent& a,
-                        const ScheduledEvent& b) noexcept {
-  return EventBefore(a.time, a.seq, b.time, b.seq);
-}
+// Stable storage for scheduled events: fixed-size chunks that are
+// never reallocated, so an Event keeps its address from scheduling
+// until its slot is released — even while a firing callback schedules
+// enough new events to grow the slab. Freed slots are reused LIFO (the
+// most recently fired payload is the one still in cache). Memory is
+// the high-water mark of pending events; chunks are released with the
+// slab.
+class EventSlab {
+ public:
+  // Returns the slot of an empty event.
+  uint32_t Acquire() {
+    if (!free_.empty()) {
+      const uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    if (used_ == chunks_.size() * kChunkEvents) {
+      if (used_ == kCapacity) {
+        std::fprintf(stderr, "sim: more than %u events pending at once\n",
+                     kCapacity);
+        std::abort();
+      }
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkEvents));
+    }
+    return used_++;
+  }
+
+  // The slot's event must be empty again (fired, or never set).
+  void Release(uint32_t slot) { free_.push_back(slot); }
+
+  Event& operator[](uint32_t slot) noexcept {
+    return chunks_[slot >> kChunkBits][slot & (kChunkEvents - 1)].ev;
+  }
+
+  // Starts loading a slot's cache line ahead of its Fire().
+  void Prefetch(uint32_t slot) noexcept { __builtin_prefetch(&(*this)[slot]); }
+
+ private:
+  static constexpr uint32_t kCapacity = uint32_t{1} << EventKey::kSlotBits;
+  static constexpr uint32_t kChunkBits = 9;  // 512 events, 32 KiB
+  static constexpr uint32_t kChunkEvents = uint32_t{1} << kChunkBits;
+
+  // Line-aligned, so firing an event touches one cache line.
+  struct alignas(64) Slot {
+    Event ev;
+  };
+
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<uint32_t> free_;
+  uint32_t used_ = 0;  // slots ever handed out
+};
 
 }  // namespace whodunit::sim
 

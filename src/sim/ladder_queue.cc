@@ -1,158 +1,98 @@
 #include "src/sim/ladder_queue.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace whodunit::sim {
 
-void LadderQueue::Push(ScheduledEvent ev) {
-  ++size_;
-  if (size_ > stats_.peak_depth) {
-    stats_.peak_depth = size_;
-  }
-  if (ev.time < bottom_limit_) {
-    // Sorted insert. Every new event keys strictly greater than every
-    // already-consumed one (time >= now, fresh seq), so the position
-    // always lands at or after bottom_pos_.
-    auto it = std::upper_bound(
-        bottom_.begin() + static_cast<ptrdiff_t>(bottom_pos_), bottom_.end(),
-        ev, [](const ScheduledEvent& a, const ScheduledEvent& b) {
-          return EventBefore(a, b);
-        });
-    bottom_.insert(it, std::move(ev));
-    if (ActiveBottom() > kBottomMax) {
-      SpillBottomTail();
-    }
-    return;
-  }
-  PushToRungOrTop(std::move(ev));
-}
-
-void LadderQueue::PushToRungOrTop(ScheduledEvent&& ev) {
-  // Finest (earliest-range) rung first: tier regions are contiguous,
-  // so the first rung whose limit exceeds t owns it.
-  for (auto r = rungs_.rbegin(); r != rungs_.rend(); ++r) {
-    if (ev.time < r->limit) {
-      size_t idx = static_cast<size_t>((ev.time - r->origin) / r->width);
-      if (idx >= r->buckets.size()) {
-        idx = r->buckets.size() - 1;
-      }
-      if (idx < r->cur) {
-        idx = r->cur;  // defensive: never land in a drained bucket
-      }
-      r->buckets[idx].push_back(std::move(ev));
-      return;
-    }
-  }
-  if (top_.empty()) {
-    top_min_ = top_max_ = ev.time;
-  } else {
-    top_min_ = std::min(top_min_, ev.time);
-    top_max_ = std::max(top_max_, ev.time);
-  }
-  top_.push_back(std::move(ev));
-  ++stats_.spills;
-}
-
-void LadderQueue::SpawnRung(SimTime origin, SimTime limit,
-                            std::vector<ScheduledEvent> events) {
-  Rung r;
+LadderQueue::Rung& LadderQueue::SpawnRung(SimTime origin, SimTime limit,
+                                          size_t events) {
+  Rung& r = rungs_[live_rungs_++];
   r.origin = origin;
   r.limit = limit;
-  const SimTime span = limit - origin;  // >= 1 by construction
-  r.width = (span + static_cast<SimTime>(kRungBuckets) - 1) /
-            static_cast<SimTime>(kRungBuckets);
-  if (r.width < 1) {
-    r.width = 1;
-  }
-  const size_t nb = static_cast<size_t>((span + r.width - 1) / r.width);
-  r.buckets.resize(nb);
+  const auto span = static_cast<uint64_t>(limit - origin);  // >= 1 by construction
+  const uint64_t want = std::clamp<size_t>(events / kBucketTarget, 1, kMaxBuckets);
+  // The narrowest power-of-two width that needs at most `want` buckets.
+  r.shift = std::bit_width((span + want - 1) / want - 1);
+  r.buckets.resize(static_cast<size_t>(((span - 1) >> r.shift) + 1));
   r.cur = 0;
-  for (ScheduledEvent& ev : events) {
-    size_t idx = static_cast<size_t>((ev.time - origin) / r.width);
-    if (idx >= nb) {
-      idx = nb - 1;
-    }
-    r.buckets[idx].push_back(std::move(ev));
-  }
-  rungs_.push_back(std::move(r));
   // The new rung is the finest tier above bottom: bottom's region now
   // ends where the rung begins.
   bottom_limit_ = origin;
   ++stats_.promotions;
+  return r;
 }
 
-void LadderQueue::SpillBottomTail() {
-  if (rungs_.size() >= kMaxRungs) {
+void LadderQueue::SpillBottom() {
+  if (live_rungs_ == kMaxRungs) {
     return;  // graceful degradation: let bottom grow, stay correct
   }
-  const size_t keep_end = bottom_pos_ + kBottomKeep;
-  const SimTime limit = bottom_[keep_end].time;
-  std::vector<ScheduledEvent> tail;
-  tail.reserve(bottom_.size() - keep_end);
-  for (size_t i = keep_end; i < bottom_.size(); ++i) {
-    tail.push_back(std::move(bottom_[i]));
-  }
-  bottom_.resize(keep_end);
-  const SimTime old_limit = bottom_limit_;
-  if (old_limit == kVirginLimit) {
-    // No structure above bottom yet: the shed tail becomes the top
+  // bottom_[0, spill) are the latest keys; the earliest of them starts
+  // the region bottom hands over. (Kept keys at that same time have
+  // smaller seqs and drain before the new tier is touched, so (time,
+  // seq) order is preserved.)
+  const size_t spill = bottom_.size() - kBottomKeep;
+  const SimTime limit = bottom_[spill - 1].time;
+  if (bottom_limit_ == kVirginLimit) {
+    // No structure above bottom yet: the spilled keys become the top
     // tier and bottom's responsibility shrinks to [0, limit).
     bottom_limit_ = limit;
-    for (ScheduledEvent& ev : tail) {
-      if (top_.empty()) {
-        top_min_ = top_max_ = ev.time;
-      } else {
-        top_min_ = std::min(top_min_, ev.time);
-        top_max_ = std::max(top_max_, ev.time);
-      }
-      top_.push_back(std::move(ev));
-      ++stats_.spills;
+    for (size_t i = 0; i < spill; ++i) {
+      AppendTop(bottom_[i]);
     }
-    return;
+  } else {
+    // A tier already bounds the range at bottom_limit_; slot a rung
+    // covering exactly [limit, bottom_limit_) between bottom and it.
+    Rung& r = SpawnRung(limit, bottom_limit_, spill);
+    for (size_t i = 0; i < spill; ++i) {
+      AddToRung(r, bottom_[i]);
+    }
   }
-  // A tier already bounds the range at old_limit; slot a rung covering
-  // exactly [limit, old_limit) between bottom and it. (Kept events at
-  // time == limit stay in bottom with smaller seqs; they drain before
-  // the rung is touched, so (time, seq) order is preserved.)
-  SpawnRung(limit, old_limit, std::move(tail));
+  bottom_.erase(bottom_.begin(), bottom_.begin() + static_cast<ptrdiff_t>(spill));
 }
 
 void LadderQueue::EnsureBottom() {
-  while (bottom_pos_ == bottom_.size()) {
-    bottom_.clear();
-    bottom_pos_ = 0;
-    if (!rungs_.empty()) {
-      Rung& r = rungs_.back();
+  while (bottom_.empty()) {
+    if (live_rungs_ > 0) {
+      Rung& r = rungs_[live_rungs_ - 1];
       while (r.cur < r.buckets.size() && r.buckets[r.cur].empty()) {
         ++r.cur;
       }
       if (r.cur == r.buckets.size()) {
-        rungs_.pop_back();
+        --live_rungs_;
         continue;
       }
-      const size_t b = r.cur;
-      std::vector<ScheduledEvent> events = std::move(r.buckets[b]);
-      r.buckets[b].clear();
-      r.cur = b + 1;
-      const SimTime bs = r.origin + r.width * static_cast<SimTime>(b);
-      const SimTime be = std::min(bs + r.width, r.limit);
-      if (events.size() > kSortThreshold && r.width > 1 &&
-          rungs_.size() < kMaxRungs) {
+      const size_t b = r.cur++;
+      std::vector<EventKey>& bucket = r.buckets[b];
+      const SimTime bs = r.origin + (static_cast<SimTime>(b) << r.shift);
+      const SimTime be = std::min(bs + (SimTime{1} << r.shift), r.limit);
+      if (bucket.size() > kSortMax && r.shift > 0 && live_rungs_ < kMaxRungs) {
         // Over-full bucket: subdivide into a finer rung instead of
-        // paying a big sort. Terminates because child width strictly
-        // shrinks (width > 1).
-        SpawnRung(bs, be, std::move(events));
-        continue;
+        // paying a big sort. Terminates because the child's buckets
+        // are strictly narrower (shift > 0 here).
+        Rung& child = SpawnRung(bs, be, bucket.size());
+        for (const EventKey& key : bucket) {
+          AddToRung(child, key);
+        }
+      } else {
+        bottom_.assign(bucket.begin(), bucket.end());
+        std::sort(bottom_.begin(), bottom_.end(), Later);
+        bottom_limit_ = be;
+        ++stats_.refills;
       }
-      std::sort(events.begin(), events.end(),
-                [](const ScheduledEvent& a, const ScheduledEvent& b2) {
-                  return EventBefore(a, b2);
-                });
-      bottom_ = std::move(events);
-      bottom_limit_ = be;
-      ++stats_.refills;
+      bucket.clear();
+      if (bucket.capacity() > kBucketKeep) {
+        // A burst's worth of capacity goes back to the allocator, so
+        // recycled rungs stay as small as the steady state needs.
+        std::vector<EventKey>().swap(bucket);
+      }
       continue;
     }
     if (!top_.empty()) {
-      SpawnRung(top_min_, top_max_ + 1, std::move(top_));
+      Rung& r = SpawnRung(top_min_, top_max_ + 1, top_.size());
+      for (const EventKey& key : top_) {
+        AddToRung(r, key);
+      }
       top_.clear();
       continue;
     }
@@ -161,32 +101,6 @@ void LadderQueue::EnsureBottom() {
     bottom_limit_ = kVirginLimit;
     return;
   }
-}
-
-const ScheduledEvent* LadderQueue::Peek() {
-  if (size_ == 0) {
-    return nullptr;
-  }
-  EnsureBottom();
-  return &bottom_[bottom_pos_];
-}
-
-ScheduledEvent LadderQueue::Pop() {
-  EnsureBottom();
-  ScheduledEvent ev = std::move(bottom_[bottom_pos_]);
-  ++bottom_pos_;
-  --size_;
-  // Reset a fully consumed bottom now rather than waiting for the next
-  // EnsureBottom: Peek() short-circuits on an empty queue, so a
-  // workload that repeatedly drains the calendar (the live daemon's
-  // flush -> deliver -> idle cadence) would otherwise keep appending
-  // to bottom_ behind an ever-advancing bottom_pos_ — unbounded growth
-  // and a fresh allocation every capacity doubling.
-  if (bottom_pos_ == bottom_.size()) {
-    bottom_.clear();
-    bottom_pos_ = 0;
-  }
-  return ev;
 }
 
 }  // namespace whodunit::sim

@@ -4,6 +4,8 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -20,29 +22,28 @@ namespace whodunit::sim {
 // deliberately minimal: coroutine awaitables (Delay, locks, channels,
 // CPU) build on ScheduleAt/ScheduleAfter.
 //
-// The calendar itself is pluggable: BasicScheduler is parameterized on
-// the queue type so the ladder queue (production) and the pre-existing
-// binary heap (differential-test oracle, bench baseline) run the exact
-// same scheduling logic. Because the (time, seq) key is a total order,
-// both produce identical executions — see src/sim/ladder_queue.h.
-//
-// Callbacks are stored as sim::Event records: coroutine resumes carry
-// no allocation at all, small lambdas live inline, and oversized ones
-// come from the per-thread arena pool instead of malloc.
-template <typename Queue>
-class BasicScheduler {
+// Callbacks are stored as sim::Event records in an EventSlab: coroutine
+// resumes carry no allocation at all, small lambdas live inline, and
+// oversized ones come from the per-thread arena pool instead of malloc.
+// An event is built in its slab slot and fired there, and the slot is
+// freed only after Fire() returns, so a payload never moves — not even
+// when the running callback schedules enough events to grow the slab.
+// The ladder queue (src/sim/ladder_queue.h) orders only 16-byte keys.
+class Scheduler {
  public:
-  BasicScheduler() = default;
-  BasicScheduler(const BasicScheduler&) = delete;
-  BasicScheduler& operator=(const BasicScheduler&) = delete;
-  ~BasicScheduler() { PublishMetrics(); }
+  Scheduler() = default;
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+  ~Scheduler() { PublishMetrics(); }
 
   SimTime now() const { return now_; }
 
   // Enqueues cb to run at absolute virtual time t (>= now).
   template <typename F>
   void ScheduleAt(SimTime t, F&& cb) {
-    PushEvent(t, Event::Of(std::forward<F>(cb)));
+    const uint32_t slot = slab_.Acquire();
+    slab_[slot].Set(std::forward<F>(cb));
+    PushEvent(t, slot);
   }
 
   // Enqueues cb to run dt nanoseconds from now (dt < 0 is clamped to 0).
@@ -52,9 +53,11 @@ class BasicScheduler {
   }
 
   // Convenience: resume a coroutine at/after a time. These take the
-  // allocation-free fast path through Event::Resume.
+  // allocation-free fast path through Event::SetResume.
   void ResumeAt(SimTime t, std::coroutine_handle<> h) {
-    PushEvent(t, Event::Resume(h));
+    const uint32_t slot = slab_.Acquire();
+    slab_[slot].SetResume(h);
+    PushEvent(t, slot);
   }
   void ResumeAfter(SimTime dt, std::coroutine_handle<> h) {
     ResumeAt(now_ + (dt < 0 ? 0 : dt), h);
@@ -69,7 +72,7 @@ class BasicScheduler {
   // Runs events with time <= t, then sets now to t. Events scheduled
   // beyond t stay queued.
   void RunUntil(SimTime t) {
-    while (const ScheduledEvent* head = queue_.Peek()) {
+    while (const EventKey* head = queue_.Peek()) {
       if (head->time > t) {
         break;
       }
@@ -85,10 +88,16 @@ class BasicScheduler {
     if (queue_.empty()) {
       return false;
     }
-    ScheduledEvent item = queue_.Pop();
-    now_ = item.time;
+    const EventKey key = queue_.Pop();
+    // Payloads sit at scattered slots; start loading the next one
+    // while this one fires.
+    if (const EventKey* next = queue_.Peek()) {
+      slab_.Prefetch(next->slot());
+    }
+    now_ = key.time;
     ++events_executed_;
-    item.ev.Fire();
+    slab_[key.slot()].Fire();
+    slab_.Release(key.slot());
     return true;
   }
 
@@ -135,15 +144,20 @@ class BasicScheduler {
     uint64_t spills = 0;
   };
 
-  void PushEvent(SimTime t, Event ev) {
+  void PushEvent(SimTime t, uint32_t slot) {
     if (t < now_) {
       t = now_;
     }
-    queue_.Push(ScheduledEvent{t, next_seq_++, std::move(ev)});
+    if (next_seq_ > EventKey::kMaxSeq) {
+      std::fprintf(stderr, "sim: event sequence space exhausted\n");
+      std::abort();
+    }
+    queue_.Push(EventKey::Make(t, next_seq_++, slot));
     ++events_scheduled_;
   }
 
-  Queue queue_;
+  EventSlab slab_;     // payloads; unfired callables die with the slab
+  LadderQueue queue_;  // their keys
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
@@ -151,11 +165,6 @@ class BasicScheduler {
   Published published_;
   int64_t last_peak_gauge_ = 0;
 };
-
-using Scheduler = BasicScheduler<LadderQueue>;
-// The pre-ladder scheduler, kept for differential tests and the
-// BM_SchedulerThroughput baseline leg.
-using HeapScheduler = BasicScheduler<HeapQueue>;
 
 // Awaitable that suspends the current coroutine for dt virtual ns.
 // Usage: co_await Delay{sched, Micros(5)};

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <queue>
 #include <vector>
 
+#include "src/sim/heap_scheduler.h"
 #include "src/sim/task.h"
+#include "src/util/arena.h"
 #include "src/util/rng.h"
 
 namespace whodunit::sim {
@@ -162,6 +168,68 @@ std::vector<int> RandomWorkloadOrder(uint64_t seed) {
   return order;
 }
 
+// A hold workload around `depth` pending events, driven from outside
+// the callbacks by a random mix of Step(), RunUntil() (which peeks the
+// head) and ScheduleAt(now()) calls. Timestamps come from a coarse
+// grid a third of the time, and a quarter of the successors land at
+// the current instant, so large same-time tie groups cross every tier.
+// Returns the fired (id, time) sequence and the clock after each
+// RunUntil.
+template <typename S>
+std::vector<int64_t> HoldWorkloadTrace(size_t depth, uint64_t seed,
+                                       uint64_t fires) {
+  struct Ctx {
+    S s;
+    util::Rng rng;
+    std::vector<int64_t> trace;
+    size_t depth;
+    int next_id = 0;
+    explicit Ctx(uint64_t seed, size_t d) : rng(seed), depth(d) {}
+    SimTime Gap() {
+      const uint64_t kind = rng.NextBelow(12);
+      if (kind < 3) return 0;                       // ScheduleAt(now)
+      if (kind < 7) return static_cast<SimTime>(rng.NextBelow(64) * 1024);
+      return static_cast<SimTime>(rng.NextBelow(65536));
+    }
+  };
+  struct Fire {
+    Ctx* c;
+    int id;
+    void operator()() const {
+      c->trace.push_back(id);
+      c->trace.push_back(c->s.now());
+      // Keep the population near depth: 0, 1 or 2 successors.
+      const uint64_t kids =
+          c->s.queue_depth() + 1 < c->depth ? 1 + c->rng.NextBelow(2)
+                                            : c->rng.NextBelow(2);
+      for (uint64_t k = 0; k < kids; ++k) {
+        c->s.ScheduleAfter(c->Gap(), Fire{c, c->next_id++});
+      }
+    }
+  };
+  Ctx c(seed, depth);
+  for (size_t i = 0; i < depth; ++i) {
+    c.s.ScheduleAt(c.Gap(), Fire{&c, c.next_id++});
+  }
+  while (c.trace.size() < 2 * fires && !c.s.empty()) {
+    switch (c.rng.NextBelow(8)) {
+      case 0:
+        c.s.RunUntil(c.s.now() + static_cast<SimTime>(c.rng.NextBelow(4096)));
+        c.trace.push_back(-1);
+        c.trace.push_back(c.s.now());
+        break;
+      case 1:
+        c.s.ScheduleAt(c.s.now(), Fire{&c, c.next_id++});
+        break;
+      default:
+        for (int k = 0; k < 16; ++k) {
+          c.s.Step();
+        }
+    }
+  }
+  return c.trace;
+}
+
 TEST(SchedulerTest, LadderMatchesHeapOnRandomWorkloads) {
   // Differential check: the calendar queue and the reference binary
   // heap must execute byte-identical event sequences, including events
@@ -172,6 +240,148 @@ TEST(SchedulerTest, LadderMatchesHeapOnRandomWorkloads) {
     ASSERT_GE(ladder.size(), 2000u) << "seed " << seed;
     EXPECT_EQ(ladder, heap) << "seed " << seed;
   }
+  // Hold workloads at depths from below the ladder's bottom cap to well
+  // past one rung wheel, so every tier and reorganization path runs:
+  // bottom spills, top seeding, bucket subdivision and refills.
+  for (const size_t depth : {size_t{64}, size_t{1024}, size_t{16384},
+                             size_t{1} << 17}) {
+    const uint64_t fires = std::max<uint64_t>(20000, 2 * depth);
+    const std::vector<int64_t> ladder =
+        HoldWorkloadTrace<Scheduler>(depth, depth + 7, fires);
+    const std::vector<int64_t> heap =
+        HoldWorkloadTrace<HeapScheduler>(depth, depth + 7, fires);
+    ASSERT_GE(ladder.size(), 2 * fires) << "depth " << depth;
+    EXPECT_TRUE(ladder == heap) << "depth " << depth;
+  }
+}
+
+TEST(LadderQueueTest, MatchesReferenceOrderUnderFuzz) {
+  // The queue alone against a reference heap over the same keys:
+  // random depths and time ranges (from all-ties to sparse), pushes at
+  // or after the last popped time as the scheduler guarantees, and
+  // Peek() between pops.
+  auto later = [](const EventKey& a, const EventKey& b) {
+    return EventBefore(b, a);
+  };
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    LadderQueue q;
+    std::priority_queue<EventKey, std::vector<EventKey>, decltype(later)> ref(
+        later);
+    uint64_t seq = 0;
+    SimTime now = 0;
+    const uint64_t range = 1 + rng.NextBelow(uint64_t{1} << rng.NextBelow(20));
+    const size_t depth = 1 + rng.NextBelow(3000);
+    for (int op = 0; op < 50000; ++op) {
+      if (ref.size() < depth && rng.NextBelow(2) == 0) {
+        const SimTime t =
+            now + static_cast<SimTime>(rng.NextBelow(4) == 0 ? 0 : rng.NextBelow(range));
+        const EventKey key = EventKey::Make(t, seq++, 0);
+        q.Push(key);
+        ref.push(key);
+      } else if (!ref.empty()) {
+        if (rng.NextBelow(3) == 0) {
+          ASSERT_EQ(q.Peek()->tag, ref.top().tag) << "seed " << seed << " op " << op;
+        }
+        const EventKey got = q.Pop();
+        ASSERT_EQ(got.tag, ref.top().tag) << "seed " << seed << " op " << op;
+        ASSERT_EQ(got.time, ref.top().time) << "seed " << seed << " op " << op;
+        ref.pop();
+        now = got.time;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+  }
+}
+
+// Counts every move and copy and remembers where it was built, so a
+// firing callable can tell whether it was relocated after scheduling.
+template <size_t kPad>
+struct Pinned {
+  struct Log {
+    int moves = 0;
+    int copies = 0;
+    int relocated = 0;
+    int fired = 0;
+  };
+  Scheduler* s;
+  Log* log;
+  int children;
+  const Pinned* self = this;
+  std::array<unsigned char, kPad> pad{};
+
+  Pinned(Scheduler* sched, Log* l, int kids)
+      : s(sched), log(l), children(kids) {}
+  Pinned(Pinned&& o) noexcept : s(o.s), log(o.log), children(o.children) {
+    ++log->moves;
+  }
+  Pinned(const Pinned& o) : s(o.s), log(o.log), children(o.children) {
+    ++log->copies;
+  }
+
+  void operator()() const {
+    // Scheduling from inside Fire() grows the slab by many chunks
+    // while this event is still running in it.
+    for (int i = 0; i < children; ++i) {
+      s->ScheduleAfter(i % 7, Pinned(s, log, 0));
+    }
+    if (self != this) {
+      ++log->relocated;
+    }
+    ++log->fired;
+  }
+};
+
+template <size_t kPad>
+void ExpectNeverMoved() {
+  using P = Pinned<kPad>;
+  typename P::Log log;
+  Scheduler s;
+  constexpr int kChildren = 5000;
+  s.ScheduleAt(1, P(&s, &log, kChildren));
+  s.ScheduleAt(1, P(&s, &log, kChildren));
+  // One move per event: from the argument into its slab slot.
+  EXPECT_EQ(log.moves, 2);
+  s.Run();
+  EXPECT_EQ(log.fired, 2 + 2 * kChildren);
+  EXPECT_EQ(log.moves, 2 + 2 * kChildren);
+  EXPECT_EQ(log.copies, 0);
+  EXPECT_EQ(log.relocated, 0);
+}
+
+TEST(SchedulerTest, ScheduledCallablesAreNeverMoved) {
+  ExpectNeverMoved<0>();    // inline in the event
+  ExpectNeverMoved<128>();  // overflow block from the arena pool
+}
+
+TEST(SchedulerTest, HoldModelHeapStaysFlat) {
+  // A calendar at a steady depth must not grow: 2M steps of a
+  // depth-1000 hold model may add under 1 MB of live heap once the
+  // calendar has settled.
+  struct Hold {
+    Scheduler* s;
+    util::Rng* rng;
+    void operator()() const {
+      s->ScheduleAfter(static_cast<SimTime>(1 + rng->NextBelow(100000)),
+                       Hold{s, rng});
+    }
+  };
+  Scheduler s;
+  util::Rng rng(42);
+  for (int i = 0; i < 1000; ++i) {
+    s.ScheduleAt(static_cast<SimTime>(rng.NextBelow(100000)), Hold{&s, &rng});
+  }
+  for (int i = 0; i < 100000; ++i) {
+    s.Step();
+  }
+  const uint64_t before = util::ApproxHeapBytes();
+  for (int i = 0; i < 2000000; ++i) {
+    s.Step();
+  }
+  const uint64_t after = util::ApproxHeapBytes();
+  EXPECT_LT(after, before + (uint64_t{1} << 20))
+      << "heap grew " << (after - before) << " bytes";
+  EXPECT_EQ(s.queue_depth(), 1000u);
 }
 
 Process CountTo(Scheduler& sched, int n, int& counter) {
