@@ -2,8 +2,9 @@
 # Bench trajectory harness: runs each bench_* binary N times and writes
 # one BENCH_<name>.json per bench with median/min wall time, the
 # google-benchmark per-op timings (when the bench embeds gbench), the
-# instruction counts, and the obs-layer metrics snapshot of the last
-# run. The JSON schema is documented in docs/METRICS.md ("Bench
+# instruction counts, and headline fields derived from the last run's
+# obs-layer metrics (the snapshot itself stays out of the file). The
+# JSON schema is documented in docs/METRICS.md ("Bench
 # trajectory files"). Future PRs diff these files to prove a hot-path
 # change actually moved the needle (scripts/check_perf.sh).
 #
@@ -36,6 +37,12 @@ while getopts "n:B:o:" opt; do
   esac
 done
 shift $((OPTIND - 1))
+
+# The median of zero runs, or of "abc" runs, has no meaning.
+if ! [ "$runs" -gt 0 ] 2>/dev/null; then
+  echo "run_benches: -n wants a positive integer run count, got '$runs'" >&2
+  exit 2
+fi
 
 # Benches run from a temp workdir (metric dumps land there), so the
 # build dir must be absolute or a relative -B would dangle after cd.
@@ -171,11 +178,12 @@ if gbench:
     }
 
 # Obs-layer metrics of the last run (deltas: each process starts at 0).
+# Only the fields derived from them below are recorded.
+metrics = {}
 metrics_path = os.path.join(workdir, f"BENCH_{name}.metrics.json")
 if os.path.exists(metrics_path):
     with open(metrics_path) as f:
         metrics = json.load(f)
-    out["metrics"] = metrics
     counters = metrics.get("counters", metrics)
     instr = {}
     for key, dst in (("vm.instructions_emulated", "emulated"),
@@ -206,7 +214,7 @@ if "BM_SectionCacheWithDetector" in gb and "BM_EmulationFromCache" in gb:
 
 # Section-cache hit rate from the obs counters, wherever the bench
 # exercised the flow-summary cache (docs/METRICS.md).
-counters = out.get("metrics", {}).get("counters", {})
+counters = metrics.get("counters", {})
 sc_hits = counters.get("shm.section_cache.hits", 0)
 sc_misses = counters.get("shm.section_cache.misses", 0)
 if sc_hits + sc_misses > 0:
@@ -215,7 +223,7 @@ if sc_hits + sc_misses > 0:
 # Million-client scaling headlines (bench_scaling_clients): open-loop
 # engine throughput, flat per-client memory, and the ladder-vs-heap
 # hold-model speedup at 2^17 pending events (docs/PERFORMANCE.md).
-gauges = out.get("metrics", {}).get("gauges", {})
+gauges = metrics.get("gauges", {})
 if "bench.scaling.events_per_sec" in gauges:
     derived["events_per_sec"] = gauges["bench.scaling.events_per_sec"]
     derived["bytes_per_client"] = gauges.get("bench.scaling.bytes_per_client_max", 0)

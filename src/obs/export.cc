@@ -10,35 +10,6 @@ namespace {
 
 // ---- writer ---------------------------------------------------------
 
-void AppendEscaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 template <typename T>
 void AppendArray(std::string& out, const std::vector<T>& values) {
   out += '[';
@@ -354,6 +325,36 @@ double Quantile(const HistogramSnapshot& h, double q) {
 
 }  // namespace
 
+std::string JsonString(std::string_view s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
 std::string ToJson(const MetricsSnapshot& snapshot, const std::vector<SpanRecord>& spans) {
   std::string out;
   out += "{\n  \"schema\": \"whodunit-metrics\",\n  \"version\": 1,\n  \"counters\": {";
@@ -362,7 +363,7 @@ std::string ToJson(const MetricsSnapshot& snapshot, const std::vector<SpanRecord
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
-    AppendEscaped(out, name);
+    out += JsonString(name);
     out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -372,7 +373,7 @@ std::string ToJson(const MetricsSnapshot& snapshot, const std::vector<SpanRecord
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
-    AppendEscaped(out, name);
+    out += JsonString(name);
     out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -382,7 +383,7 @@ std::string ToJson(const MetricsSnapshot& snapshot, const std::vector<SpanRecord
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
-    AppendEscaped(out, name);
+    out += JsonString(name);
     out += ": {\"bounds\": ";
     AppendArray(out, h.bounds);
     out += ", \"counts\": ";
@@ -397,9 +398,9 @@ std::string ToJson(const MetricsSnapshot& snapshot, const std::vector<SpanRecord
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"name\": ";
-    AppendEscaped(out, span.name);
+    out += JsonString(span.name);
     out += ", \"detail\": ";
-    AppendEscaped(out, span.detail);
+    out += JsonString(span.detail);
     out += ", \"ctxt_hash\": " + std::to_string(span.ctxt_hash);
     out += ", \"start_ns\": " + std::to_string(span.start_ns);
     out += ", \"duration_ns\": " + std::to_string(span.duration_ns) + "}";

@@ -29,6 +29,12 @@ std::string ToJson(const MetricsSnapshot& snapshot,
 bool ParseJson(std::string_view json, MetricsSnapshot* out,
                std::vector<SpanRecord>* spans = nullptr);
 
+// `s` as a quoted JSON string: `"` and `\` escaped, \n and \t spelled
+// out, every other byte below 0x20 as \u00XX. The one escaper behind
+// every JSON export: the metrics dump, the live query, the span trace
+// and the history export.
+std::string JsonString(std::string_view s);
+
 // Human-readable rendering of a snapshot (one instrument per line,
 // histograms with percentile estimates) for reports and examples.
 std::string RenderText(const MetricsSnapshot& snapshot,

@@ -3,19 +3,9 @@
 #include <sstream>
 #include <utility>
 
+#include "src/obs/export.h"
+
 namespace whodunit::obs::live {
-namespace {
-
-void JsonEscapeInto(std::ostringstream& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\';
-    }
-    out << (c == '\n' ? ' ' : c);
-  }
-}
-
-}  // namespace
 
 TxnHistory::TxnHistory(HistoryOptions options)
     : options_(options),
@@ -103,17 +93,15 @@ std::string TxnHistory::ExportJson() const {
   bool first = true;
   for (size_t e = 0; e < retained_.size(); ++e) {
     const TxnEvent& ev = retained_[e].event;
-    out << (first ? "" : ",") << "\n{\"txn_id\":" << ev.txn_id << ",\"type\":\"";
-    JsonEscapeInto(out, syms_->Name(ev.type));
-    out << "\",\"origin\":\"";
-    JsonEscapeInto(out, syms_->Name(ev.origin_stage));
-    out << "\",\"start_ns\":" << ev.start_ns << ",\"end_ns\":" << ev.end_ns
+    out << (first ? "" : ",") << "\n{\"txn_id\":" << ev.txn_id
+        << ",\"type\":" << JsonString(syms_->Name(ev.type))
+        << ",\"origin\":" << JsonString(syms_->Name(ev.origin_stage))
+        << ",\"start_ns\":" << ev.start_ns << ",\"end_ns\":" << ev.end_ns
         << ",\"error\":" << (ev.error ? "true" : "false") << ",\"spans\":[";
     for (size_t i = 0; i < ev.spans.size(); ++i) {
       const StageSpan& span = ev.spans[i];
-      out << (i ? "," : "") << "{\"stage\":\"";
-      JsonEscapeInto(out, syms_->Name(span.stage));
-      out << "\",\"start_ns\":" << span.start_ns << ",\"duration_ns\":" << span.duration_ns
+      out << (i ? "," : "") << "{\"stage\":" << JsonString(syms_->Name(span.stage))
+          << ",\"start_ns\":" << span.start_ns << ",\"duration_ns\":" << span.duration_ns
           << ",\"parent\":" << span.parent << ",\"link\":" << span.link << "}";
     }
     out << "]}";

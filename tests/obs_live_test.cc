@@ -3,6 +3,7 @@
 // span export (golden + validity), and end-to-end smokes on the apps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <string>
@@ -92,6 +93,8 @@ class JsonChecker {
     if (pos_ >= s_.size() || s_[pos_] != '"') return false;
     ++pos_;
     while (pos_ < s_.size() && s_[pos_] != '"') {
+      // JSON forbids raw control bytes inside a string.
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
       if (s_[pos_] == '\\') ++pos_;
       ++pos_;
     }
@@ -141,6 +144,7 @@ TEST(JsonCheckerTest, AcceptsAndRejects) {
   EXPECT_FALSE(JsonChecker(R"({"a":1,)").Valid());
   EXPECT_FALSE(JsonChecker(R"([1,2,])").Valid());
   EXPECT_FALSE(JsonChecker("{} trailing").Valid());
+  EXPECT_FALSE(JsonChecker("[\"a\tb\"]").Valid());
 }
 
 // ---- Aggregator ------------------------------------------------------
@@ -449,6 +453,34 @@ TEST(SpanExportTest, EmptyAndEscaping) {
   ev.spans.push_back({S("sta\"ge"), 0, 10, -1, 0});
   const std::string out = ExportChromeTrace({ev});
   EXPECT_TRUE(JsonChecker(out).Valid()) << out;
+}
+
+// Names reach the daemon unfiltered through the string_view hooks, so
+// every export must escape control bytes, not pass them through raw.
+TEST(WhodunitdTest, ExportsEscapeControlBytesInNames) {
+  sim::Scheduler sched;
+  {
+    LiveOptions options;
+    options.publish_batch = 1;
+    Whodunitd d(sched, options);
+    const uint64_t txn = d.BeginTxn("st\tage", d.now());
+    d.SetTxnType(txn, "a\tb\nc\x01");
+    sched.ScheduleAt(sim::Micros(10), [&] { d.CompleteTxn(txn, d.now()); });
+    sched.Run();
+    d.Shutdown();
+    sched.Run();
+
+    for (const std::string& json : {d.QueryJson(), d.ExportSpansJson(), d.ExportHistoryJson()}) {
+      EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+      EXPECT_NE(json.find("\"a\\tb\\nc\\u0001\""), std::string::npos) << json;
+      EXPECT_NE(json.find("\"st\\tage\""), std::string::npos) << json;
+      // Layout newlines are the only raw bytes below 0x20 allowed.
+      EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                              [](char c) { return c != '\n' && static_cast<unsigned char>(c) < 0x20; }),
+                0)
+          << json;
+    }
+  }
 }
 
 // ---- End-to-end smokes -----------------------------------------------
