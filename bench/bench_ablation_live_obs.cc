@@ -242,10 +242,9 @@ double MeasureAttrNsPerTxn() {
 }
 
 // The full publish pipeline, measured directly: a loop drives a real
-// Whodunitd — BeginTxn/SetTxnType/JoinSpan/AddSpanWait/EndSpan/
-// CompleteTxn, the batch flush, the channel hop, the pump's
-// attribution + aggregation + history ingest — under the default
-// LiveOptions (attribution on, publish_batch 64, 1 MiB history).
+// Whodunitd — BeginTxn/NoteSend/JoinSpan/EndSpan/CompleteTxn, the
+// batch flush, the channel hop, the pump's attribution + aggregation +
+// history ingest — under the default LiveOptions (attribution on, publish_batch 64, 1 MiB history).
 // Virtual time advances 10 ms per transaction so the history store
 // crosses its 30 s flush interval many times and reaches retention
 // steady state during warmup. Reports the fastest of three timed
@@ -275,21 +274,16 @@ PipelineCost MeasurePublishPipeline() {
     t += 10'000'000;  // 10 ms of virtual time per transaction
     sched.RunUntil(t);  // deliver previously flushed batches to the pump
     const int64_t now = sched.now();
-    const uint64_t txn = daemon.BeginTxn(squid, now);
-    daemon.SetTxnType(txn, types[static_cast<size_t>(shape)]);
-    daemon.AddSpanWait(txn, squid, WaitState::kService, 300);
+    const uint64_t txn = daemon.BeginTxn(squid, types[static_cast<size_t>(shape)], now);
     daemon.NoteSend(txn, squid, 1);
     daemon.JoinSpan(txn, tomcat, 1, now + 400, /*queue_ns=*/150);
-    daemon.AddSpanWait(txn, tomcat, WaitState::kService, 800);
     if (shape > 0) {  // three-tier shapes visit the DB
       daemon.NoteSend(txn, tomcat, 2);
       daemon.JoinSpan(txn, mysql, 2, now + 1500, /*queue_ns=*/100);
-      daemon.AddSpanWait(txn, mysql, WaitState::kService, 900);
-      daemon.AddSpanWait(txn, mysql, WaitState::kLockWait, 400);
-      daemon.EndSpan(txn, mysql, now + 4500);
+      daemon.EndSpan(txn, mysql, now + 4500, {/*service_ns=*/900, /*lock_ns=*/400});
     }
-    daemon.EndSpan(txn, tomcat, now + 5400);
-    daemon.CompleteTxn(txn, now + 6000);
+    daemon.EndSpan(txn, tomcat, now + 5400, {/*service_ns=*/800, /*lock_ns=*/0});
+    daemon.CompleteTxn(txn, now + 6000, {.stage = squid, .waits = {/*service_ns=*/300}});
   };
 
   // Warmup: fill the history store to its byte budget, cross several
@@ -404,9 +398,10 @@ int main() {
   std::printf("sim results identical: %s\n", identical ? "yes" : "NO (BUG)");
 
   // Per-transaction costs in ns for run_benches.sh's derived block and
-  // the check_perf.sh gates: publish_ns_per_txn <= 800 (direct),
-  // live_publish_overhead_pct < 15 (wall), attr_publish_overhead_pct
-  // < 15 (direct over wall baseline), steady_allocs == 0 (hard).
+  // the scripts/perf_gates.py rows: publish_ns_per_txn <= 800 (direct),
+  // live_publish_pct_of_base < 15 (direct over wall baseline),
+  // attr_publish_overhead_pct < 15 (direct over wall baseline),
+  // live_publish_overhead_pct < 24.5 (wall), steady_allocs == 0 (hard).
   auto& gauges = obs::Registry();
   if (txns > 0) {
     gauges.GetGauge("bench.ablation_live_obs.base_ns_per_txn")

@@ -113,8 +113,7 @@ class Haboob {
     listen_ = graph_.AddStage("ListenStage", 1, [this](auto& wc) -> sim::Task<void> {
       if (daemon_ != nullptr && wc.sampled) {
         ReqState& st = requests_.at(wc.payload);
-        st.txn = daemon_->BeginTxn(stage_syms_[listen_], daemon_->now());
-        daemon_->SetTxnType(st.txn, http_request_sym_);
+        st.txn = daemon_->BeginTxn(stage_syms_[listen_], http_request_sym_, daemon_->now());
       }
       co_await Charge(wc, workload::kAcceptCost);
       LiveLeaveStage(wc);

@@ -1,6 +1,8 @@
 #include "src/obs/live/aggregator.h"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "src/obs/metrics.h"
 
@@ -17,37 +19,47 @@ const std::string& LiveAggregator::TypeName(SymId id) const {
   return id == 0 ? kUntypedName : syms_->Name(id);
 }
 
-void LiveAggregator::Ingest(const TxnEvent& event) {
-  obs_txns_->Add();
-  obs_spans_->Add(event.spans.size());
-
-  ++txns_;
-  // Integer-keyed probe; the tree node is only allocated the first
-  // time a type or stage id is seen, never per event.
-  TypeState& type = by_type_[event.type];
-  type.latency_ns.Add(static_cast<uint64_t>(std::max<int64_t>(event.end_ns - event.start_ns, 0)));
-  if (event.error) {
-    ++type.errors;
-    ++errors_;
-  }
-  for (const StageSpan& span : event.spans) {
-    StageState& stage = by_stage_[span.stage];
-    ++stage.spans;
-    stage.busy_ns += static_cast<uint64_t>(std::max<int64_t>(span.duration_ns, 0));
-  }
-  if (event.root_ctxt != context::kEmptyContext) {
-    // The transaction's own end-to-end latency also accrues to its
-    // origin context so a type with little CPU but long waits still
-    // surfaces; CPU-level attribution arrives separately via AddCost.
-    cost_by_ctxt_.GetOrInsert(event.root_ctxt) += 0;
-  }
-  if (!event.attr.empty()) {
-    obs_attr_txns_->Add();
-    obs_attr_slices_->Add(event.attr.size());
-    for (const AttrSlice& slice : event.attr) {
-      attr_[{event.type, slice.stage, slice.ctxt,
-             static_cast<uint8_t>(slice.state)}] += slice.ns;
+void LiveAggregator::Ingest(std::span<const TxnEvent> events) {
+  uint64_t spans = 0;
+  uint64_t attr_txns = 0;
+  uint64_t attr_slices = 0;
+  for (const TxnEvent& event : events) {
+    ++txns_;
+    spans += event.spans.size();
+    // Integer-keyed probes; a slot is only allocated the first time a
+    // type or stage id is seen, never per event.
+    TypeState& type = by_type_[event.type];
+    type.latency_ns.Add(
+        static_cast<uint64_t>(std::max<int64_t>(event.end_ns - event.start_ns, 0)));
+    if (event.error) {
+      ++type.errors;
+      ++errors_;
     }
+    for (const StageSpan& span : event.spans) {
+      StageState& stage = by_stage_[span.stage];
+      ++stage.spans;
+      stage.busy_ns += static_cast<uint64_t>(std::max<int64_t>(span.duration_ns, 0));
+    }
+    if (event.root_ctxt != context::kEmptyContext) {
+      // The transaction's own end-to-end latency also accrues to its
+      // origin context so a type with little CPU but long waits still
+      // surfaces; CPU-level attribution arrives separately via AddCost.
+      cost_by_ctxt_.GetOrInsert(event.root_ctxt) += 0;
+    }
+    if (!event.attr.empty()) {
+      ++attr_txns;
+      attr_slices += event.attr.size();
+      for (const AttrSlice& slice : event.attr) {
+        attr_.GetOrInsert(AttrKey{event.type, slice.stage, slice.ctxt,
+                                  static_cast<uint8_t>(slice.state)}) += slice.ns;
+      }
+    }
+  }
+  obs_txns_->Add(events.size());
+  obs_spans_->Add(spans);
+  if (attr_txns > 0) {
+    obs_attr_txns_->Add(attr_txns);
+    obs_attr_slices_->Add(attr_slices);
   }
 }
 
@@ -77,22 +89,20 @@ void LiveAggregator::MergeFrom(const LiveAggregator& other,
   const auto remap_sym = [&](SymId id) {
     return id < sym_remap.size() ? sym_remap[id] : id;
   };
-  for (const auto& [id, state] : other.by_type_) {
+  other.by_type_.ForEach([&](SymId id, const TypeState& state) {
     TypeState& mine = by_type_[remap_sym(id)];
     mine.latency_ns.Merge(state.latency_ns);
     mine.errors += state.errors;
-  }
-  for (const auto& [id, state] : other.by_stage_) {
+  });
+  other.by_stage_.ForEach([&](SymId id, const StageState& state) {
     StageState& mine = by_stage_[remap_sym(id)];
     mine.spans += state.spans;
     mine.busy_ns += state.busy_ns;
-  }
-  for (const auto& [key, ns] : other.attr_) {
-    const context::NodeId ctxt = std::get<2>(key);
-    const context::NodeId here = ctxt < ctxt_remap.size() ? ctxt_remap[ctxt] : ctxt;
-    attr_[{remap_sym(std::get<0>(key)), remap_sym(std::get<1>(key)), here,
-           std::get<3>(key)}] += ns;
-  }
+  });
+  other.attr_.ForEach([&](const AttrKey& key, const int64_t& ns) {
+    const context::NodeId here = key.ctxt < ctxt_remap.size() ? ctxt_remap[key.ctxt] : key.ctxt;
+    attr_.GetOrInsert(AttrKey{remap_sym(key.type), remap_sym(key.stage), here, key.state}) += ns;
+  });
   // Re-base the other side's tags above everything already present so
   // contexts from different shards never alias. std::map iteration is
   // ordered, so the assignment is deterministic.
@@ -128,7 +138,7 @@ void LiveAggregator::MergeFrom(const LiveAggregator& other,
 void LiveAggregator::TypeRowsInto(std::vector<TypeRow>& rows) const {
   rows.resize(by_type_.size());
   size_t i = 0;
-  for (const auto& [id, state] : by_type_) {
+  by_type_.ForEach([&](SymId id, const TypeState& state) {
     TypeRow& row = rows[i++];
     row.type.assign(TypeName(id));
     row.count = state.latency_ns.count();
@@ -138,7 +148,7 @@ void LiveAggregator::TypeRowsInto(std::vector<TypeRow>& rows) const {
     row.p95_ms = state.latency_ns.Quantile(0.95) / 1e6;
     row.p99_ms = state.latency_ns.Quantile(0.99) / 1e6;
     row.p999_ms = state.latency_ns.Quantile(0.999) / 1e6;
-  }
+  });
   std::sort(rows.begin(), rows.end(), [](const TypeRow& a, const TypeRow& b) {
     if (a.count != b.count) {
       return a.count > b.count;
@@ -150,15 +160,15 @@ void LiveAggregator::TypeRowsInto(std::vector<TypeRow>& rows) const {
 void LiveAggregator::StageRowsInto(std::vector<StageRow>& rows) const {
   rows.resize(by_stage_.size());
   size_t i = 0;
-  for (const auto& [id, state] : by_stage_) {
+  by_stage_.ForEach([&](SymId id, const StageState& state) {
     StageRow& row = rows[i++];
     row.stage.assign(syms_->Name(id));
     row.spans = state.spans;
     row.busy_ms = static_cast<double>(state.busy_ns) / 1e6;
-  }
+  });
   // Busy-descending with a name tiebreak: iteration order above is
-  // intern order, which differs across shards, so the tiebreak keeps
-  // the view deterministic.
+  // first-seen order, which differs across shards, so the tiebreak
+  // keeps the view deterministic.
   std::sort(rows.begin(), rows.end(), [](const StageRow& a, const StageRow& b) {
     if (a.busy_ms != b.busy_ms) {
       return a.busy_ms > b.busy_ms;
@@ -218,14 +228,12 @@ void LiveAggregator::TopContextsInto(size_t n, std::vector<CtxtRow>& rows) const
 std::vector<LiveAggregator::AttrRow> LiveAggregator::AttrRows() const {
   std::vector<AttrRow> rows;
   rows.reserve(attr_.size());
-  for (const auto& [key, ns] : attr_) {
-    rows.push_back(AttrRow{TypeName(std::get<0>(key)), syms_->Name(std::get<1>(key)),
-                           std::get<2>(key), static_cast<WaitState>(std::get<3>(key)),
-                           ns});
-  }
-  // attr_ is ordered by interned ids (first-seen order); re-sort by
-  // name so the rows are deterministic regardless of ingest or merge
-  // order. Interning is injective, so no two rows tie on all four.
+  attr_.ForEach([&](const AttrKey& key, const int64_t& ns) {
+    rows.push_back(AttrRow{TypeName(key.type), syms_->Name(key.stage), key.ctxt,
+                           static_cast<WaitState>(key.state), ns});
+  });
+  // attr_ is in hash order; sort by name so the rows are
+  // deterministic regardless of ingest or merge order. Interning is injective, so no two rows tie on all four.
   std::sort(rows.begin(), rows.end(), [](const AttrRow& a, const AttrRow& b) {
     if (const int c = a.type.compare(b.type)) return c < 0;
     if (const int c = a.stage.compare(b.stage)) return c < 0;
@@ -239,10 +247,9 @@ std::string LiveAggregator::ExportAttrFolded() const {
   // Fold contexts out, re-keying by name through an ordered map so the
   // output is deterministic no matter the intern order.
   std::map<std::tuple<std::string, std::string, uint8_t>, int64_t> folded;
-  for (const auto& [key, ns] : attr_) {
-    folded[{TypeName(std::get<0>(key)), syms_->Name(std::get<1>(key)),
-            std::get<3>(key)}] += ns;
-  }
+  attr_.ForEach([&](const AttrKey& key, const int64_t& ns) {
+    folded[{TypeName(key.type), syms_->Name(key.stage), key.state}] += ns;
+  });
   std::string out;
   for (const auto& [key, ns] : folded) {
     out += std::get<0>(key);
@@ -258,12 +265,13 @@ std::string LiveAggregator::ExportAttrFolded() const {
 }
 
 const util::LogHistogram* LiveAggregator::HistogramFor(std::string_view type) const {
-  for (const auto& [id, state] : by_type_) {
-    if (TypeName(id) == type) {
-      return &state.latency_ns;
+  const util::LogHistogram* found = nullptr;
+  by_type_.ForEach([&](SymId id, const TypeState& state) {
+    if (found == nullptr && TypeName(id) == type) {
+      found = &state.latency_ns;
     }
-  }
-  return nullptr;
+  });
+  return found;
 }
 
 }  // namespace whodunit::obs::live

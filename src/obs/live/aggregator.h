@@ -26,8 +26,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/context/context_tree.h"
@@ -42,7 +42,11 @@ namespace whodunit::obs::live {
 class LiveAggregator {
  public:
   // ---- Ingest (daemon side) -----------------------------------------
-  void Ingest(const TxnEvent& event);
+  // Folds completed events in order. The pump hands over a whole batch
+  // at once: the tables stay hot across it and the ingest counters are
+  // bumped once per call.
+  void Ingest(std::span<const TxnEvent> events);
+  void Ingest(const TxnEvent& event) { Ingest(std::span<const TxnEvent>(&event, 1)); }
   // Cumulative CPU cost charged under an interned transaction context.
   void AddCost(context::NodeId ctxt, uint64_t cost_ns);
   // Names a crosstalk tag (profiler context id) with a transaction
@@ -156,17 +160,69 @@ class LiveAggregator {
     uint64_t busy_ns = 0;
   };
 
+  // Per-symbol state behind a dense SymId -> slot index. SymIds are
+  // small and dense per table, so the index is a plain vector and a
+  // probe is one load; the states themselves sit packed in first-seen
+  // order (a TypeState is a 4 KB histogram, too big for hash slots).
+  template <typename State>
+  class SymSlots {
+   public:
+    State& operator[](SymId id) {
+      if (id >= slot_of_.size()) {
+        slot_of_.resize(static_cast<size_t>(id) + 1, kNoSlot);
+      }
+      uint32_t& slot = slot_of_[id];
+      if (slot == kNoSlot) {
+        slot = static_cast<uint32_t>(states_.size());
+        ids_.push_back(id);
+        states_.emplace_back();
+      }
+      return states_[slot];
+    }
+    size_t size() const { return states_.size(); }
+    // fn(SymId, const State&) per seen symbol, first-seen order.
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      for (size_t i = 0; i < states_.size(); ++i) {
+        fn(ids_[i], states_[i]);
+      }
+    }
+
+   private:
+    static constexpr uint32_t kNoSlot = ~uint32_t{0};
+    std::vector<uint32_t> slot_of_;
+    std::vector<SymId> ids_;
+    std::vector<State> states_;
+  };
+
+  // Key of the attribution table: one critical-path bucket.
+  struct AttrKey {
+    SymId type = 0;
+    SymId stage = 0;
+    context::NodeId ctxt = context::kEmptyContext;
+    uint8_t state = 0;
+    bool operator==(const AttrKey&) const = default;
+  };
+  struct AttrKeyHash {
+    size_t operator()(const AttrKey& k) const {
+      const uint64_t hi = (uint64_t{k.type} << 32) | k.stage;
+      const uint64_t lo = (uint64_t{k.ctxt} << 8) | k.state;
+      return util::SplitMix64Hash{}(hi * 0x9e3779b97f4a7c15ull ^ lo);
+    }
+  };
+
   std::string TagName(uint64_t tag) const;
   // Resolves a type SymId for display: id 0 renders as "(untyped)".
   const std::string& TypeName(SymId id) const;
 
-  // Keyed by interned SymId; probes on the per-event ingest path are
-  // integer compares, and a tree node is only allocated the first time
-  // a key is seen — steady-state ingest never allocates.
-  std::map<SymId, TypeState> by_type_;
-  std::map<SymId, StageState> by_stage_;
+  // Flat tables keyed by interned SymIds: per-event ingest is integer
+  // probes, and storage only grows the first time a key is seen —
+  // steady-state ingest never allocates. Iteration order is first-seen
+  // order, which no view depends on: every view re-sorts by name.
+  SymSlots<TypeState> by_type_;
+  SymSlots<StageState> by_stage_;
   // (type, stage, ctxt, state) -> cumulative critical-path ns.
-  std::map<std::tuple<SymId, SymId, context::NodeId, uint8_t>, int64_t> attr_;
+  util::RobinHoodMap<AttrKey, int64_t, AttrKeyHash> attr_;
   std::map<std::pair<uint64_t, uint64_t>, util::RunningStat> waits_;
   std::map<uint64_t, std::string> tag_names_;
   util::RobinHoodMap<context::NodeId, uint64_t> cost_by_ctxt_;

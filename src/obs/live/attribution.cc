@@ -2,10 +2,42 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 namespace whodunit::obs::live {
+namespace {
+
+// End of a child list.
+constexpr uint32_t kNoSpan = ~uint32_t{0};
+
+// Ranks every id of `syms` by name.
+void RankSymbols(const SymbolTable& syms, AttrScratch& scratch) {
+  scratch.ranked_table = &syms;
+  scratch.ranked_size = syms.size();
+  const size_t n = scratch.ranked_size;
+  std::vector<SymId>& by_name = scratch.sym_of_rank;
+  by_name.resize(n);
+  for (size_t id = 0; id < n; ++id) {
+    by_name[id] = static_cast<SymId>(id);
+  }
+  std::sort(by_name.begin(), by_name.end(),
+            [&syms](SymId a, SymId b) { return syms.Name(a) < syms.Name(b); });
+  scratch.rank_of.resize(n);
+  for (size_t rank = 0; rank < n; ++rank) {
+    scratch.rank_of[by_name[rank]] = static_cast<uint32_t>(rank);
+  }
+}
+
+// A raw slice's fold key: (stage rank, ctxt, state) packed so integer
+// order is the output order. A table holds at most 2^20 symbols, so
+// the rank fits its 24 bits.
+uint64_t SliceKey(uint32_t rank, context::NodeId ctxt, WaitState state) {
+  return (uint64_t{rank} << 40) | (uint64_t{ctxt} << 8) | static_cast<uint8_t>(state);
+}
+
+}  // namespace
 
 void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
                   AttrScratch& scratch, AttrVec& out) {
@@ -13,89 +45,77 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
   if (event.spans.empty() || event.end_ns <= event.start_ns) return;
   const size_t n = event.spans.size();
 
-  // Children grouped by parent in one flat array (counting sort on the
-  // parent index). The daemon appends spans in join order, so children
-  // always carry larger indices than their parents and index order is
-  // a stable tiebreak for equal starts. Spans with no recorded parent
-  // (beyond the origin) are grafted onto the origin so every
-  // nanosecond stays reachable from the root walk.
-  const auto parent_of = [&](size_t i) -> size_t {
-    const int32_t p = event.spans[i].parent;
-    return (p < 0 || static_cast<size_t>(p) >= i) ? 0 : static_cast<size_t>(p);
-  };
-  std::vector<uint32_t>& child_off = scratch.child_off;
-  std::vector<uint32_t>& child_idx = scratch.child_idx;
-  child_off.assign(n + 1, 0);
-  for (size_t i = 1; i < n; ++i) {
-    ++child_off[parent_of(i) + 1];
-  }
-  for (size_t i = 1; i <= n; ++i) {
-    child_off[i] += child_off[i - 1];
-  }
-  child_idx.resize(n - 1);
-  scratch.cursor.assign(child_off.begin(), child_off.end() - 1);
-  for (size_t i = 1; i < n; ++i) {
-    child_idx[scratch.cursor[parent_of(i)]++] = static_cast<uint32_t>(i);
-  }
-  for (size_t p = 0; p < n; ++p) {
-    const auto begin = child_idx.begin() + child_off[p];
-    const auto end = child_idx.begin() + child_off[p + 1];
-    // Spans join in time order in the common case; only sort a
-    // sibling list that actually arrived out of order.
-    const bool sorted = std::is_sorted(begin, end, [&](uint32_t a, uint32_t b) {
-      return event.spans[a].start_ns < event.spans[b].start_ns;
-    });
-    if (!sorted) {
-      std::stable_sort(begin, end, [&](uint32_t a, uint32_t b) {
-        return event.spans[a].start_ns < event.spans[b].start_ns;
-      });
-    }
+  // Rank stages once per table so slice ordering below is pure
+  // integer work: rank order IS name order — the determinism contract
+  // the exports rely on. An id outside the table resolves to "", as
+  // id 0.
+  if (&syms != scratch.ranked_table || syms.size() != scratch.ranked_size) {
+    RankSymbols(syms, scratch);
   }
 
-  // subtree_end[i]: last activity anywhere under span i. Children have
-  // larger indices, so one reverse pass suffices.
-  std::vector<int64_t>& subtree_end = scratch.subtree_end;
-  subtree_end.resize(n);
+  // One reverse pass over the spans builds the tree: each span's child
+  // list (first_child / next_sibling, in index order), its subtree end
+  // (children carry larger indices, so a span's is final before its
+  // parent is reached) and its stage rank. The daemon appends spans in
+  // join order, so index order is a stable tiebreak for equal starts.
+  // Spans with no recorded parent (beyond the origin) are grafted onto
+  // the origin so every nanosecond stays reachable from the root walk.
+  scratch.first_child.assign(n, kNoSpan);
+  scratch.next_sibling.resize(n);
+  scratch.subtree_end.assign(n, std::numeric_limits<int64_t>::min());
+  scratch.span_rank.resize(n);
+  uint32_t* const first = scratch.first_child.data();
+  uint32_t* const next = scratch.next_sibling.data();
+  int64_t* const subtree_end = scratch.subtree_end.data();
+  uint32_t* const span_rank = scratch.span_rank.data();
+  bool in_start_order = true;
   for (size_t i = n; i-- > 0;) {
     const StageSpan& s = event.spans[i];
-    int64_t end = s.start_ns + s.duration_ns;
-    for (uint32_t c = child_off[i]; c < child_off[i + 1]; ++c) {
-      end = std::max(end, subtree_end[child_idx[c]]);
+    subtree_end[i] = std::max(subtree_end[i], s.start_ns + s.duration_ns);
+    span_rank[i] = scratch.rank_of[s.stage < scratch.rank_of.size() ? s.stage : 0];
+    if (i == 0) {
+      break;
     }
-    subtree_end[i] = end;
+    const size_t p = (s.parent < 0 || static_cast<size_t>(s.parent) >= i)
+                         ? 0
+                         : static_cast<size_t>(s.parent);
+    subtree_end[p] = std::max(subtree_end[p], subtree_end[i]);
+    if (first[p] != kNoSpan && event.spans[first[p]].start_ns < s.start_ns) {
+      in_start_order = false;
+    }
+    next[i] = first[p];
+    first[p] = static_cast<uint32_t>(i);
+  }
+  if (!in_start_order) {
+    // Spans join in time order in the common case; only when a sibling
+    // arrived out of order are the lists re-linked in start order.
+    std::vector<uint32_t>& kids = scratch.child_idx;
+    for (size_t p = 0; p < n; ++p) {
+      kids.clear();
+      for (uint32_t c = first[p]; c != kNoSpan; c = next[c]) {
+        kids.push_back(c);
+      }
+      std::stable_sort(kids.begin(), kids.end(), [&](uint32_t a, uint32_t b) {
+        return event.spans[a].start_ns < event.spans[b].start_ns;
+      });
+      uint32_t head = kNoSpan;
+      for (size_t k = kids.size(); k-- > 0;) {
+        next[kids[k]] = head;
+        head = kids[k];
+      }
+      first[p] = head;
+    }
   }
 
-  // Rank every span's stage once so slice ordering below is pure
-  // integer work: `stages` ends up unique and sorted by NAME (rank
-  // order IS name order — the determinism contract the exports rely
-  // on), span_rank[i] is span i's index into it.
-  std::vector<SymId>& stages = scratch.stages;
-  stages.clear();
-  for (const StageSpan& s : event.spans) {
-    stages.push_back(s.stage);
-  }
-  const auto by_name = [&syms](SymId a, SymId b) { return syms.Name(a) < syms.Name(b); };
-  std::sort(stages.begin(), stages.end(), by_name);
-  stages.erase(std::unique(stages.begin(), stages.end()), stages.end());
-  std::vector<uint32_t>& span_rank = scratch.span_rank;
-  span_rank.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    span_rank[i] = static_cast<uint32_t>(
-        std::lower_bound(stages.begin(), stages.end(), event.spans[i].stage, by_name) -
-        stages.begin());
-  }
-
-  // Unfolded slices carry stage ranks; symbols are resolved back once
-  // per output bucket at the end.
+  // Unfolded slices carry packed (rank, ctxt, state) keys; symbols are
+  // resolved back once per output bucket at the end.
   std::vector<AttrScratch::RawSlice>& raw = scratch.raw;
   raw.clear();
-  const auto ctxt_of = [&](const StageSpan& s) {
-    return s.ctxt != context::kEmptyContext ? s.ctxt : event.root_ctxt;
-  };
   const auto add = [&](size_t span, WaitState state, int64_t ns) {
     if (ns <= 0) return;
-    raw.push_back({span_rank[span], ctxt_of(event.spans[span]),
-                   static_cast<uint8_t>(state), ns});
+    const StageSpan& s = event.spans[span];
+    const context::NodeId ctxt = s.ctxt != context::kEmptyContext ? s.ctxt : event.root_ctxt;
+    raw.push_back({SliceKey(span_rank[span], ctxt, state), ns});
   };
 
   // Walk the critical path: span i owns the window [lo, hi). Intervals
@@ -111,8 +131,7 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
     int64_t service_left = std::max<int64_t>(0, s.service_ns);
     const int64_t lock_left = std::max<int64_t>(0, s.lock_ns);
     int64_t cursor = lo;
-    for (uint32_t ci = child_off[i]; ci < child_off[i + 1]; ++ci) {
-      const uint32_t child = child_idx[ci];
+    for (uint32_t child = first[i]; child != kNoSpan; child = next[child]) {
       const StageSpan& c = event.spans[child];
       const int64_t cs = std::clamp(c.start_ns, cursor, hi);
       const int64_t ce = std::clamp(subtree_end[child], cs, hi);
@@ -145,20 +164,18 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
   // their relative order cannot show in the output.
   std::sort(raw.begin(), raw.end(),
             [](const AttrScratch::RawSlice& a, const AttrScratch::RawSlice& b) {
-              if (a.rank != b.rank) return a.rank < b.rank;
-              if (a.ctxt != b.ctxt) return a.ctxt < b.ctxt;
-              return a.state < b.state;
+              return a.key < b.key;
             });
   out.reserve(raw.size());
-  uint32_t last_rank = 0;
+  uint64_t last_key = 0;
   for (const AttrScratch::RawSlice& r : raw) {
-    if (!out.empty() && last_rank == r.rank && out.back().ctxt == r.ctxt &&
-        out.back().state == static_cast<WaitState>(r.state)) {
+    if (!out.empty() && r.key == last_key) {
       out.back().ns += r.ns;
     } else {
-      out.push_back(AttrSlice{stages[r.rank], r.ctxt,
-                              static_cast<WaitState>(r.state), r.ns});
-      last_rank = r.rank;
+      out.push_back(AttrSlice{scratch.sym_of_rank[r.key >> 40],
+                              static_cast<context::NodeId>(r.key >> 8),
+                              static_cast<WaitState>(r.key & 0xff), r.ns});
+      last_key = r.key;
     }
   }
 }

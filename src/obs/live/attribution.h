@@ -27,19 +27,25 @@ namespace whodunit::obs::live {
 // (bench_ablation_live_obs gates the per-txn overhead and asserts the
 // zero-allocation steady state).
 struct AttrScratch {
-  std::vector<uint32_t> child_off;
-  std::vector<uint32_t> child_idx;
-  std::vector<uint32_t> cursor;
+  // The span tree: each span's first child and next sibling (children
+  // in start order), and the last activity anywhere under it.
+  std::vector<uint32_t> first_child;
+  std::vector<uint32_t> next_sibling;
   std::vector<int64_t> subtree_end;
-  // Per-event stage table: unique stage symbols sorted by NAME (so
-  // slice ordering matches the pre-interning string sort), and each
-  // span's rank in it. Slices then sort and fold on integer ranks.
-  std::vector<SymId> stages;
+  // One sibling list while it is re-sorted (out-of-order joins only).
+  std::vector<uint32_t> child_idx;
+  // Name ranks of every symbol of the table last attributed against:
+  // rank_of[id] orders ids by NAME (so slice ordering matches the
+  // pre-interning string sort) and sym_of_rank inverts it. Rebuilt only
+  // when the table grows or changes, so slices sort and fold on
+  // integer ranks with no per-event name compare.
+  const SymbolTable* ranked_table = nullptr;
+  size_t ranked_size = 0;
+  std::vector<uint32_t> rank_of;
+  std::vector<SymId> sym_of_rank;
   std::vector<uint32_t> span_rank;
   struct RawSlice {
-    uint32_t rank;
-    context::NodeId ctxt;
-    uint8_t state;
+    uint64_t key;  // stage rank << 40 | ctxt << 8 | state
     int64_t ns;
   };
   std::vector<RawSlice> raw;

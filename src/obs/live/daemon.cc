@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -20,6 +21,17 @@ std::string Fixed(double v, int decimals = 1) {
   return buf;
 }
 
+// Adds a stage's measured wait components onto its span; negative or
+// zero measurements add nothing.
+void AddWaits(StageSpan& span, const SpanWaits& waits) {
+  if (waits.service_ns > 0) {
+    span.service_ns += waits.service_ns;
+  }
+  if (waits.lock_ns > 0) {
+    span.lock_ns += waits.lock_ns;
+  }
+}
+
 }  // namespace
 
 Whodunitd::Whodunitd(sim::Scheduler& sched, LiveOptions options)
@@ -34,7 +46,9 @@ Whodunitd::Whodunitd(sim::Scheduler& sched, LiveOptions options)
       obs_batches_(&Registry().GetCounter("live.batches_published")),
       obs_inflight_(&Registry().GetGauge("live.inflight_txns")),
       obs_sampling_total_(&Registry().GetCounter("sampling.txns_total")),
-      obs_sampling_sampled_(&Registry().GetCounter("sampling.txns_sampled")) {
+      obs_sampling_sampled_(&Registry().GetCounter("sampling.txns_sampled")),
+      sampling_total_base_(obs_sampling_total_->Value()),
+      sampling_sampled_base_(obs_sampling_sampled_->Value()) {
   if (options_.publish_batch == 0) {
     options_.publish_batch = 1;
   }
@@ -49,26 +63,28 @@ sim::Process Whodunitd::Pump() {
     if (!batch) {
       break;
     }
-    // The batch preserves completion order, so iterating it here is
-    // exactly the per-event ingest order an unbatched channel gave.
-    for (TxnEvent& event : *batch) {
-      if (options_.attribution) {
+    // The batch preserves completion order, so each pass below sees
+    // exactly the per-event order an unbatched channel gave. One pass
+    // per consumer keeps each one's working set hot across the batch.
+    if (options_.attribution) {
+      for (TxnEvent& event : *batch) {
         // Pre-size to the session high-water so every record's attr
         // block lands in the same arena size class. The history's
         // byte-budgeted eviction makes its retained MIX of records
         // drift slowly; with per-shape block sizes that drift can
-        // demand one more block of some class than any earlier
-        // moment supplied, forcing a fresh allocation long after
-        // warmup. Uniform blocks make pool demand depend only on
-        // record COUNT, which is strictly periodic — this is what
-        // holds the steady-state allocation count at exactly zero
+        // demand one more block of some class than any earlier moment
+        // supplied, forcing a fresh allocation long after warmup.
+        // Uniform blocks make pool demand depend only on record COUNT,
+        // which is strictly periodic — this is what holds the
+        // steady-state allocation count at exactly zero
         // (bench_ablation_live_obs gates it).
         event.attr.reserve(attr_cap_highwater_);
         AttributeTxn(event, *syms_, attr_scratch_, event.attr);
-        attr_cap_highwater_ =
-            std::max(attr_cap_highwater_, event.attr.capacity());
+        attr_cap_highwater_ = std::max(attr_cap_highwater_, event.attr.capacity());
       }
-      agg_.Ingest(event);
+    }
+    agg_.Ingest(std::span<const TxnEvent>(batch->begin(), batch->end()));
+    for (TxnEvent& event : *batch) {
       // Ownership split: the recent ring takes the copy, the
       // byte-budgeted history takes the move (it is the last consumer,
       // so retention reuses the event's own blocks and never draws a
@@ -94,40 +110,58 @@ sim::Process Whodunitd::Pump() {
   history_.Flush(sched_.now());
 }
 
-uint64_t Whodunitd::BeginTxn(SymId origin_stage, int64_t now) {
-  if (shutdown_ || builders_.size() >= options_.max_inflight) {
+uint64_t Whodunitd::BeginTxn(SymId origin_stage, SymId type, int64_t now) {
+  if (shutdown_ || slot_of_.size() >= options_.max_inflight) {
     obs_dropped_->Add();
     return 0;
   }
   obs_begun_->Add();
   const uint64_t txn = next_txn_++;
-  Builder builder;
-  builder.event.txn_id = txn;
-  builder.event.origin_stage = origin_stage;
-  builder.event.start_ns = now;
-  builder.event.spans.push_back(
-      StageSpan{origin_stage, now, 0, /*parent=*/-1, /*link=*/0});
-  builder.open.push_back({0, 0});
-  builders_.Upsert(txn, std::move(builder));
-  obs_inflight_->Set(static_cast<int64_t>(builders_.size()));
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slot_of_.GetOrInsert(txn) = slot;
+  Builder& b = slots_[slot];
+  // A reused slot's event was moved into the publish batch, which left
+  // its span and attr blocks empty; reset the scalar fields.
+  TxnEvent& event = b.event;
+  event.txn_id = txn;
+  event.type = type;
+  event.origin_stage = origin_stage;
+  event.root_ctxt = context::kEmptyContext;
+  event.start_ns = now;
+  event.end_ns = 0;
+  event.error = false;
+  event.spans.push_back(StageSpan{origin_stage, now, 0, /*parent=*/-1, /*link=*/0});
+  b.open.clear();
+  b.open.push_back({0, 0, origin_stage});
+  obs_inflight_->Set(static_cast<int64_t>(slot_of_.size()));
   return txn;
 }
 
 void Whodunitd::SetTxnType(uint64_t txn, SymId type) {
-  if (auto* b = builders_.Find(txn)) {
+  if (Builder* b = Find(txn)) {
     b->event.type = type;
   }
 }
 
-void Whodunitd::SetTxnCtxt(uint64_t txn, context::NodeId ctxt) {
-  if (auto* b = builders_.Find(txn)) {
-    b->event.root_ctxt = ctxt;
+int32_t Whodunitd::InnermostOpen(const Builder& b, SymId stage) {
+  for (size_t i = b.open.size(); i-- > 0;) {
+    if (b.open[i].stage == stage) {
+      return static_cast<int32_t>(i);
+    }
   }
+  return -1;
 }
 
 void Whodunitd::JoinSpan(uint64_t txn, SymId stage, uint32_t link, int64_t now,
                          int64_t queue_ns, context::NodeId ctxt) {
-  auto* found = builders_.Find(txn);
+  Builder* found = Find(txn);
   if (found == nullptr) {
     return;
   }
@@ -136,111 +170,79 @@ void Whodunitd::JoinSpan(uint64_t txn, SymId stage, uint32_t link, int64_t now,
   // back to the innermost open span (its request is still pending).
   int32_t parent = -1;
   for (size_t i = b.open.size(); i-- > 0;) {
-    if (link != 0 && b.open[i].second == link) {
-      parent = b.open[i].first;
+    if (link != 0 && b.open[i].link == link) {
+      parent = b.open[i].span;
       break;
     }
     if (parent < 0) {
-      parent = b.open[i].first;
+      parent = b.open[i].span;
     }
   }
   const auto index = static_cast<int32_t>(b.event.spans.size());
   b.event.spans.push_back(
       StageSpan{stage, now, 0, parent, link, queue_ns, 0, 0, ctxt});
-  b.open.push_back({index, 0});
-}
-
-void Whodunitd::AddSpanWait(uint64_t txn, SymId stage, WaitState state,
-                            int64_t ns) {
-  if (ns <= 0) {
-    return;
-  }
-  auto* found = builders_.Find(txn);
-  if (found == nullptr) {
-    return;
-  }
-  Builder& b = *found;
-  for (size_t i = b.open.size(); i-- > 0;) {
-    StageSpan& span = b.event.spans[static_cast<size_t>(b.open[i].first)];
-    if (span.stage == stage) {
-      switch (state) {
-        case WaitState::kQueueWait:
-          span.queue_ns += ns;
-          break;
-        case WaitState::kService:
-          span.service_ns += ns;
-          break;
-        case WaitState::kLockWait:
-          span.lock_ns += ns;
-          break;
-        default:
-          break;
-      }
-      return;
-    }
-  }
+  b.open.push_back({index, 0, stage});
 }
 
 void Whodunitd::NoteSend(uint64_t txn, SymId stage, uint32_t link) {
-  auto* found = builders_.Find(txn);
+  Builder* b = Find(txn);
+  if (b == nullptr) {
+    return;
+  }
+  const int32_t i = InnermostOpen(*b, stage);
+  if (i >= 0) {
+    b->open[static_cast<size_t>(i)].link = link;
+  }
+}
+
+void Whodunitd::EndSpan(uint64_t txn, SymId stage, int64_t now, SpanWaits waits) {
+  Builder* found = Find(txn);
   if (found == nullptr) {
     return;
   }
   Builder& b = *found;
-  for (size_t i = b.open.size(); i-- > 0;) {
-    if (b.event.spans[static_cast<size_t>(b.open[i].first)].stage == stage) {
-      b.open[i].second = link;
-      return;
-    }
-  }
-}
-
-void Whodunitd::EndSpan(uint64_t txn, SymId stage, int64_t now) {
-  auto* found = builders_.Find(txn);
-  if (found == nullptr) {
+  const int32_t i = InnermostOpen(b, stage);
+  if (i < 0) {
     return;
   }
-  Builder& b = *found;
-  for (size_t i = b.open.size(); i-- > 0;) {
-    StageSpan& span = b.event.spans[static_cast<size_t>(b.open[i].first)];
-    if (span.stage == stage) {
-      span.duration_ns = now - span.start_ns;
-      // Shift-erase: the common case closes the innermost (last)
-      // entry, where this is a plain pop.
-      for (size_t j = i + 1; j < b.open.size(); ++j) {
-        b.open[j - 1] = b.open[j];
-      }
-      b.open.pop_back();
-      return;
-    }
+  StageSpan& span = b.event.spans[static_cast<size_t>(b.open[static_cast<size_t>(i)].span)];
+  AddWaits(span, waits);
+  span.duration_ns = now - span.start_ns;
+  // Shift-erase: the common case closes the innermost (last) entry,
+  // where this is a plain pop.
+  for (size_t j = static_cast<size_t>(i) + 1; j < b.open.size(); ++j) {
+    b.open[j - 1] = b.open[j];
   }
+  b.open.pop_back();
 }
 
-void Whodunitd::ErrorTxn(uint64_t txn) {
-  if (auto* b = builders_.Find(txn)) {
-    b->event.error = true;
-  }
-}
-
-void Whodunitd::CompleteTxn(uint64_t txn, int64_t now) {
-  auto* found = builders_.Find(txn);
-  if (found == nullptr) {
+void Whodunitd::CompleteTxn(uint64_t txn, int64_t now, const TxnEnd& end) {
+  const uint32_t* slot = slot_of_.Find(txn);
+  if (slot == nullptr) {
     return;
   }
-  Builder& b = *found;
+  const uint32_t index = *slot;
+  Builder& b = slots_[index];
+  if (const int32_t i = InnermostOpen(b, end.stage); i >= 0) {
+    AddWaits(b.event.spans[static_cast<size_t>(b.open[static_cast<size_t>(i)].span)],
+             end.waits);
+  }
   for (size_t i = 0; i < b.open.size(); ++i) {
-    StageSpan& span = b.event.spans[static_cast<size_t>(b.open[i].first)];
+    StageSpan& span = b.event.spans[static_cast<size_t>(b.open[i].span)];
     span.duration_ns = now - span.start_ns;
   }
   b.open.clear();
+  b.event.root_ctxt = end.ctxt;
+  b.event.error = end.error;
   b.event.end_ns = now;
   obs_published_->Add();
   if (batch_.empty()) {
     batch_opened_ns_ = now;
   }
   batch_.push_back(std::move(b.event));
-  builders_.Erase(txn);
-  obs_inflight_->Set(static_cast<int64_t>(builders_.size()));
+  slot_of_.Erase(txn);
+  free_slots_.push_back(index);
+  obs_inflight_->Set(static_cast<int64_t>(slot_of_.size()));
   if (batch_.size() >= options_.publish_batch ||
       now - batch_opened_ns_ >= options_.publish_flush_interval_ns) {
     FlushBatch();
@@ -264,9 +266,9 @@ void Whodunitd::Top(TopSnapshot& snap, size_t max_types, size_t max_contexts) co
   snap.as_of_ns = sched_.now();
   snap.txns = agg_.txns();
   snap.errors = agg_.errors();
-  snap.inflight = builders_.size();
-  snap.sampling_total = obs_sampling_total_->Value();
-  snap.sampling_sampled = obs_sampling_sampled_->Value();
+  snap.inflight = slot_of_.size();
+  snap.sampling_total = obs_sampling_total_->Value() - sampling_total_base_;
+  snap.sampling_sampled = obs_sampling_sampled_->Value() - sampling_sampled_base_;
   snap.history_txns = history_.retained_txns();
   snap.history_bytes = history_.retained_bytes();
   snap.history_evicted = history_.evicted_txns();
@@ -571,8 +573,10 @@ void Whodunitd::Shutdown() {
     return;
   }
   shutdown_ = true;
-  obs_abandoned_->Add(builders_.size());
-  builders_.Clear();
+  obs_abandoned_->Add(slot_of_.size());
+  slot_of_.Clear();
+  slots_.clear();
+  free_slots_.clear();
   obs_inflight_->Set(0);
   // Ship the partial batch before closing: the channel is FIFO and
   // Close is in-band, so the pump ingests it before draining out —

@@ -8,7 +8,7 @@
 //
 // Dataflow:
 //
-//   StageProfiler publish hooks ──► TxnBuilder table (in-flight txns)
+//   StageProfiler publish hooks ──► builder slab (in-flight txns)
 //          │ LiveComplete                    │ finished TxnEvent
 //          ▼                                 ▼
 //     TxnBatch (publish buffer) ──► sim::Channel<TxnBatch>
@@ -87,6 +87,17 @@ struct LiveOptions {
   int64_t publish_flush_interval_ns = 100'000'000;
 };
 
+// How a transaction ended, handed to Whodunitd::CompleteTxn.
+struct TxnEnd {
+  // Interned origin context at completion (the event's root_ctxt).
+  context::NodeId ctxt = context::kEmptyContext;
+  bool error = false;
+  // The completing stage's own measurements, added to its most recent
+  // open span before every open span closes.
+  SymId stage = 0;
+  SpanWaits waits = {};
+};
+
 class Whodunitd {
  public:
   explicit Whodunitd(sim::Scheduler& sched, LiveOptions options = {});
@@ -105,18 +116,23 @@ class Whodunitd {
   // ---- Publish hooks (called by StageProfiler and apps) --------------
   // SymId forms are the hot path: pure integer work, no hashing, no
   // allocation in steady state. The string_view forms intern first.
+  // Each hook finds the transaction's builder once, so a stage
+  // transition (begin, join, leave, complete) costs one lookup.
   //
-  // Opens a transaction and its origin span; returns the live txn id
-  // (0 = dropped: over the in-flight cap). All later hooks no-op on 0.
-  uint64_t BeginTxn(SymId origin_stage, int64_t now);
-  uint64_t BeginTxn(std::string_view origin_stage, int64_t now) {
-    return BeginTxn(syms_->Intern(origin_stage), now);
+  // Opens a transaction of `type` (0 = untyped until SetTxnType) and
+  // its origin span; returns the live txn id (0 = dropped: over the
+  // in-flight cap). All later hooks no-op on 0 and on ids that are no
+  // longer in flight.
+  uint64_t BeginTxn(SymId origin_stage, SymId type, int64_t now);
+  uint64_t BeginTxn(std::string_view origin_stage, std::string_view type, int64_t now) {
+    return BeginTxn(syms_->Intern(origin_stage), syms_->Intern(type), now);
   }
+  // Re-labels an in-flight transaction (e.g. once a cache stage knows
+  // hit vs. miss).
   void SetTxnType(uint64_t txn, SymId type);
   void SetTxnType(uint64_t txn, std::string_view type) {
     SetTxnType(txn, syms_->Intern(type));
   }
-  void SetTxnCtxt(uint64_t txn, context::NodeId ctxt);
   // Opens one stage's span for `txn`; `link` is the synopsis part on
   // the message that carried the work here (0 = none). `queue_ns` is
   // the measured queue residency of that message before this span
@@ -128,28 +144,22 @@ class Whodunitd {
                 int64_t queue_ns = 0, context::NodeId ctxt = context::kEmptyContext) {
     JoinSpan(txn, syms_->Intern(stage), link, now, queue_ns, ctxt);
   }
-  // Accumulates a measured wait-state component (kService or
-  // kLockWait) onto the most recent open span of `stage` for `txn`.
-  void AddSpanWait(uint64_t txn, SymId stage, WaitState state, int64_t ns);
-  void AddSpanWait(uint64_t txn, std::string_view stage, WaitState state, int64_t ns) {
-    AddSpanWait(txn, syms_->Intern(stage), state, ns);
-  }
   // Records that the stage's open span sent a request carrying
   // synopsis part `link` (joins link arrows at the receiver).
   void NoteSend(uint64_t txn, SymId stage, uint32_t link);
   void NoteSend(uint64_t txn, std::string_view stage, uint32_t link) {
     NoteSend(txn, syms_->Intern(stage), link);
   }
-  // Closes the most recent open span of `stage` for `txn`.
-  void EndSpan(uint64_t txn, SymId stage, int64_t now);
-  void EndSpan(uint64_t txn, std::string_view stage, int64_t now) {
-    EndSpan(txn, syms_->Intern(stage), now);
+  // Closes the most recent open span of `stage` for `txn`, adding the
+  // wait-state components the stage measured over the span.
+  void EndSpan(uint64_t txn, SymId stage, int64_t now, SpanWaits waits = {});
+  void EndSpan(uint64_t txn, std::string_view stage, int64_t now, SpanWaits waits = {}) {
+    EndSpan(txn, syms_->Intern(stage), now, waits);
   }
-  void ErrorTxn(uint64_t txn);
-  // Closes any still-open spans, stamps the end time, and appends the
-  // finished event to the publish batch (flushed to the aggregation
-  // channel on the size/interval thresholds above).
-  void CompleteTxn(uint64_t txn, int64_t now);
+  // Stamps the end time and `end`, closes any still-open spans, and
+  // appends the finished event to the publish batch (flushed to the
+  // aggregation channel on the size/interval thresholds above).
+  void CompleteTxn(uint64_t txn, int64_t now, const TxnEnd& end = {});
   // Direct streaming inputs that bypass the txn builder:
   void AddCost(context::NodeId ctxt, uint64_t cost_ns) { agg_.AddCost(ctxt, cost_ns); }
   void NameTag(uint64_t tag, std::string_view name) { agg_.NameTag(tag, name); }
@@ -173,8 +183,8 @@ class Whodunitd {
     uint64_t errors = 0;
     uint64_t inflight = 0;
     // Production sampling (docs/PRODUCTION.md): deployment-wide coin
-    // flips vs. transactions chosen, read from the sampling.* counters
-    // of this daemon's registry.
+    // flips vs. transactions chosen since this daemon started, read
+    // from the sampling.* counters of its registry.
     uint64_t sampling_total = 0;
     uint64_t sampling_sampled = 0;
     // Bounded history store occupancy and churn.
@@ -247,7 +257,7 @@ class Whodunitd {
 
   const LiveAggregator& aggregator() const { return agg_; }
   const TxnHistory& history() const { return history_; }
-  uint64_t inflight() const { return builders_.size(); }
+  uint64_t inflight() const { return slot_of_.size(); }
 
   // Flushes the partial publish batch, closes the publish channel so
   // the pump coroutine drains and exits; call before the final
@@ -258,14 +268,29 @@ class Whodunitd {
   void Shutdown();
 
  private:
-  // One open span: (index into event.spans, last request link the span
-  // sent — joins arrows at the receiver). Innermost last.
-  using OpenSpan = std::pair<int32_t, uint32_t>;
+  // One open span, innermost last. The stage rides along so finding a
+  // stage's open span never touches the event's span block.
+  struct OpenSpan {
+    int32_t span;   // index into event.spans
+    uint32_t link;  // last request link the span sent (joins arrows at the receiver)
+    SymId stage;
+  };
+  // One in-flight transaction. Builders live in a slot slab and are
+  // reused in place after completion: the event's span block travels
+  // with the published event, the open list keeps its block.
   struct Builder {
     TxnEvent event;
     util::PooledVec<OpenSpan> open;
   };
 
+  // The in-flight builder of `txn`, or nullptr (dropped, completed,
+  // abandoned, or never begun).
+  Builder* Find(uint64_t txn) {
+    const uint32_t* slot = slot_of_.Find(txn);
+    return slot != nullptr ? &slots_[*slot] : nullptr;
+  }
+  // Index into b.open of the most recent open span of `stage`, or -1.
+  static int32_t InnermostOpen(const Builder& b, SymId stage);
   sim::Process Pump();
   // Sends the pending batch (if any) to the aggregation channel.
   void FlushBatch();
@@ -281,7 +306,11 @@ class Whodunitd {
   // attr blocks land in the same arena size class — see Pump.
   size_t attr_cap_highwater_ = 0;
   TxnHistory history_;
-  util::RobinHoodMap<uint64_t, Builder> builders_;
+  // Builder slab: slots_ only grows (up to max_inflight live slots),
+  // free_slots_ holds the reusable ones, slot_of_ maps txn id -> slot.
+  std::vector<Builder> slots_;
+  std::vector<uint32_t> free_slots_;
+  util::RobinHoodMap<uint64_t, uint32_t> slot_of_;
   // Completed-but-unflushed events, completion order; one Send per
   // flush.
   TxnBatch batch_;
@@ -301,9 +330,13 @@ class Whodunitd {
   Gauge* obs_inflight_;
   // The deployment's sampling counters (shared by name with
   // SamplingPolicy through this daemon's registry), read at snapshot
-  // time for the sampled-vs-total display.
+  // time for the sampled-vs-total display. The registry outlives the
+  // daemon (a process may run several deployments in turn), so the
+  // display shows the growth since this daemon's construction.
   Counter* obs_sampling_total_;
   Counter* obs_sampling_sampled_;
+  uint64_t sampling_total_base_;
+  uint64_t sampling_sampled_base_;
 };
 
 }  // namespace whodunit::obs::live

@@ -26,7 +26,7 @@ size_t TxnHistory::ApproxBytes(const TxnEvent& event) {
   return bytes;
 }
 
-void TxnHistory::Ingest(TxnEvent event, int64_t now) {
+void TxnHistory::Ingest(TxnEvent&& event, int64_t now) {
   if (!enabled()) {
     return;
   }
@@ -37,7 +37,7 @@ void TxnHistory::Ingest(TxnEvent event, int64_t now) {
     last_flush_ns_ = now;
   }
   const size_t bytes = ApproxBytes(event);
-  pending_.push_back(Entry{std::move(event), bytes});
+  ring_.push_back(std::move(event));
   pending_bytes_ += bytes;
   obs_ingested_->Add();
   if (now - last_flush_ns_ >= options_.flush_interval_ns) {
@@ -46,53 +46,54 @@ void TxnHistory::Ingest(TxnEvent event, int64_t now) {
 }
 
 void TxnHistory::Flush(int64_t now) {
-  if (!enabled() || (pending_.empty() && retained_bytes_ <= options_.max_bytes)) {
+  if (!enabled() || (pending_txns() == 0 && retained_bytes_ <= options_.max_bytes)) {
     last_flush_ns_ = now;
     return;
   }
   ++flushes_;
   obs_flushes_->Add();
-  while (!pending_.empty()) {
-    retained_bytes_ += pending_.front().bytes;
-    retained_.push_back(std::move(pending_.front()));
-    pending_.pop_front();
-  }
+  visible_ = ring_.size();
+  retained_bytes_ += pending_bytes_;
   pending_bytes_ = 0;
   // Oldest-first eviction down to the soft limit. A single record
   // larger than the whole budget still stays until a newer one
   // arrives — the store never evicts its only record to emptiness
   // unless the budget forces it.
-  while (retained_bytes_ > options_.max_bytes && !retained_.empty()) {
-    retained_bytes_ -= retained_.front().bytes;
+  const uint64_t evicted_txns_before = evicted_txns_;
+  const uint64_t evicted_bytes_before = evicted_bytes_;
+  while (retained_bytes_ > options_.max_bytes && visible_ > 0) {
+    const size_t bytes = ApproxBytes(ring_.front());
+    retained_bytes_ -= bytes;
     ++evicted_txns_;
-    evicted_bytes_ += retained_.front().bytes;
-    obs_evicted_txns_->Add();
-    obs_evicted_bytes_->Add(retained_.front().bytes);
-    retained_.pop_front();
+    evicted_bytes_ += bytes;
+    ring_.pop_front();
+    --visible_;
   }
-  obs_retained_txns_->Set(static_cast<int64_t>(retained_.size()));
+  obs_evicted_txns_->Add(evicted_txns_ - evicted_txns_before);
+  obs_evicted_bytes_->Add(evicted_bytes_ - evicted_bytes_before);
+  obs_retained_txns_->Set(static_cast<int64_t>(visible_));
   obs_retained_bytes_->Set(static_cast<int64_t>(retained_bytes_));
   last_flush_ns_ = now;
 }
 
 std::vector<const TxnEvent*> TxnHistory::Scan() const {
   std::vector<const TxnEvent*> out;
-  out.reserve(retained_.size());
-  for (size_t i = 0; i < retained_.size(); ++i) {
-    out.push_back(&retained_[i].event);
+  out.reserve(visible_);
+  for (size_t i = 0; i < visible_; ++i) {
+    out.push_back(&ring_[i]);
   }
   return out;
 }
 
 std::string TxnHistory::ExportJson() const {
   std::ostringstream out;
-  out << "{\"schema\":\"whodunit-history-v1\",\"retained_txns\":" << retained_.size()
+  out << "{\"schema\":\"whodunit-history-v1\",\"retained_txns\":" << visible_
       << ",\"retained_bytes\":" << retained_bytes_ << ",\"evicted_txns\":" << evicted_txns_
       << ",\"evicted_bytes\":" << evicted_bytes_ << ",\"flushes\":" << flushes_
       << ",\"txns\":[";
   bool first = true;
-  for (size_t e = 0; e < retained_.size(); ++e) {
-    const TxnEvent& ev = retained_[e].event;
+  for (size_t e = 0; e < visible_; ++e) {
+    const TxnEvent& ev = ring_[e];
     out << (first ? "" : ",") << "\n{\"txn_id\":" << ev.txn_id
         << ",\"type\":" << JsonString(syms_->Name(ev.type))
         << ",\"origin\":" << JsonString(syms_->Name(ev.origin_stage))

@@ -43,20 +43,19 @@ class TxnHistory {
   bool enabled() const { return options_.max_bytes > 0; }
 
   // Accepts one completed transaction record; triggers a flush when
-  // the flush interval has elapsed since the last one. Takes the event
-  // by value so a caller that is done with it can move it in — the
-  // record then retains the event's own pooled span/attr blocks and
-  // the store never allocates (the pump does exactly this; see
-  // Whodunitd::Pump).
-  void Ingest(TxnEvent event, int64_t now);
+  // the flush interval has elapsed since the last one. The event is
+  // moved into the store exactly once: the record retains the event's
+  // own pooled span/attr blocks and the store never allocates (the
+  // pump hands over every event this way; see Whodunitd::Pump).
+  void Ingest(TxnEvent&& event, int64_t now);
 
-  // Promotes pending events into the retained ring, then deletes
-  // oldest-first until the ring is back under the byte budget.
+  // Makes every pending record visible, then deletes oldest-first
+  // until the store is back under the byte budget.
   void Flush(int64_t now);
 
-  size_t retained_txns() const { return retained_.size(); }
+  size_t retained_txns() const { return visible_; }
   size_t retained_bytes() const { return retained_bytes_; }
-  size_t pending_txns() const { return pending_.size(); }
+  size_t pending_txns() const { return ring_.size() - visible_; }
   uint64_t evicted_txns() const { return evicted_txns_; }
   uint64_t evicted_bytes() const { return evicted_bytes_; }
   uint64_t flushes() const { return flushes_; }
@@ -76,14 +75,13 @@ class TxnHistory {
   static size_t ApproxBytes(const TxnEvent& event);
 
  private:
-  struct Entry {
-    TxnEvent event;
-    size_t bytes;
-  };
-
   HistoryOptions options_;
-  util::RingQueue<Entry> retained_;
-  util::RingQueue<Entry> pending_;
+  // One ring, oldest first: the first visible_ records are retained
+  // (what Scan and ExportJson see), the rest are pending until the
+  // next flush. A flush only moves the boundary. A record's bytes are
+  // recomputed when it leaves: its block capacities never change.
+  util::RingQueue<TxnEvent> ring_;
+  size_t visible_ = 0;
   size_t retained_bytes_ = 0;
   size_t pending_bytes_ = 0;
   int64_t last_flush_ns_ = 0;

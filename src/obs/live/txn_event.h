@@ -90,6 +90,14 @@ struct StageSpan {
   context::NodeId ctxt = context::kEmptyContext;
 };
 
+// Wait-state components a publisher measured over one span — CPU the
+// span consumed and lock wait it incurred — handed to the daemon as
+// the span closes (Whodunitd::EndSpan / CompleteTxn).
+struct SpanWaits {
+  int64_t service_ns = 0;
+  int64_t lock_ns = 0;
+};
+
 using SpanVec = util::PooledVec<StageSpan>;
 using AttrVec = util::PooledVec<AttrSlice>;
 

@@ -192,6 +192,14 @@ uint64_t StageProfiler::CrosstalkTag(ThreadProfile& tp) {
 void StageProfiler::AttachLive(obs::live::Whodunitd* live) {
   live_ = live;
   live_name_sym_ = live_ != nullptr ? live_->symbols().Intern(options_.name) : 0;
+  if (live_ != nullptr) {
+    // UpdateCct keeps live_ctxt_node_ current only while attached. A
+    // thread with no label yet has an empty context.
+    for (const auto& tp : threads_) {
+      tp->live_ctxt_node_ =
+          tp->label_valid_ ? LiveCtxtNode(tp->current_label_) : context::kEmptyContext;
+    }
+  }
 }
 
 uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, uint32_t type_sym) {
@@ -204,13 +212,9 @@ uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, uint32_t type_sym) {
     tp.live_txn_ = 0;
     return 0;
   }
-  FlushLiveCost(tp);
-  tp.live_txn_ = live_->BeginTxn(live_name_sym_, live_->now());
+  tp.live_txn_ = live_->BeginTxn(live_name_sym_, obs::live::SymId{type_sym}, live_->now());
   tp.live_span_service_ = 0;
   tp.live_span_lock_ = 0;
-  if (tp.live_txn_ != 0 && type_sym != 0) {
-    live_->SetTxnType(tp.live_txn_, obs::live::SymId{type_sym});
-  }
   return tp.live_txn_;
 }
 
@@ -218,21 +222,21 @@ uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, std::string_view type) {
   if (live_ == nullptr) {
     return 0;
   }
-  return LiveBegin(tp, type.empty() ? 0 : live_->symbols().Intern(type));
+  return LiveBegin(tp, live_->symbols().Intern(type));
 }
 
 void StageProfiler::LiveJoin(ThreadProfile& tp, uint64_t txn, sim::SimTime queue_ns) {
   if (live_ == nullptr) {
     return;
   }
-  FlushLiveCost(tp);
   tp.live_txn_ = txn;
-  tp.live_ctxt_node_ = LiveCtxtNode(tp);
   tp.live_span_service_ = 0;
   tp.live_span_lock_ = 0;
   if (txn == 0) {
     return;
   }
+  // tp.live_ctxt_node_ is already current: UpdateCct recomputes it on
+  // every context change.
   const uint32_t link = tp.incoming_.parts.empty() ? 0 : tp.incoming_.parts.back();
   live_->JoinSpan(txn, live_name_sym_, link, live_->now(), queue_ns, tp.live_ctxt_node_);
 }
@@ -241,10 +245,9 @@ void StageProfiler::LiveLeave(ThreadProfile& tp) {
   if (live_ == nullptr) {
     return;
   }
-  FlushLiveCost(tp);
-  FlushSpanMeasurements(tp);
+  const obs::live::SpanWaits waits = TakeSpanWaits(tp);
   if (tp.live_txn_ != 0) {
-    live_->EndSpan(tp.live_txn_, live_name_sym_, live_->now());
+    live_->EndSpan(tp.live_txn_, live_name_sym_, live_->now(), waits);
   }
   tp.live_txn_ = 0;
 }
@@ -253,14 +256,10 @@ void StageProfiler::LiveComplete(ThreadProfile& tp, bool error) {
   if (live_ == nullptr) {
     return;
   }
-  FlushLiveCost(tp);
-  FlushSpanMeasurements(tp);
+  const obs::live::SpanWaits waits = TakeSpanWaits(tp);
   if (tp.live_txn_ != 0) {
-    if (error) {
-      live_->ErrorTxn(tp.live_txn_);
-    }
-    live_->SetTxnCtxt(tp.live_txn_, tp.live_ctxt_node_);
-    live_->CompleteTxn(tp.live_txn_, live_->now());
+    live_->CompleteTxn(tp.live_txn_, live_->now(),
+                       {tp.live_ctxt_node_, error, live_name_sym_, waits});
   }
   tp.live_txn_ = 0;
 }
@@ -289,16 +288,15 @@ void StageProfiler::FlushLive() {
   }
 }
 
-context::NodeId StageProfiler::LiveCtxtNode(const ThreadProfile& tp) const {
-  context::ContextTree& tree = context::GlobalContextTree();
-  context::NodeId node = context::kEmptyContext;
-  for (uint32_t part : tp.incoming_.parts) {
-    node = tree.Concat(node, deployment_.synopses().LookupNode(part));
+context::NodeId StageProfiler::LiveCtxtNode(const context::Synopsis& label) {
+  auto [it, inserted] = live_nodes_.try_emplace(label, context::kEmptyContext);
+  if (inserted) {
+    context::ContextTree& tree = context::GlobalContextTree();
+    for (uint32_t part : label.parts) {
+      it->second = tree.Concat(it->second, deployment_.synopses().LookupNode(part));
+    }
   }
-  if (tp.local_node_ != context::kEmptyContext) {
-    node = tree.Concat(node, tp.local_node_);
-  }
-  return node;
+  return it->second;
 }
 
 void StageProfiler::FlushLiveCost(ThreadProfile& tp) {
@@ -309,22 +307,12 @@ void StageProfiler::FlushLiveCost(ThreadProfile& tp) {
   tp.live_cost_acc_ = 0;
 }
 
-void StageProfiler::FlushSpanMeasurements(ThreadProfile& tp) {
-  if (live_ == nullptr || tp.live_txn_ == 0) {
-    tp.live_span_service_ = 0;
-    tp.live_span_lock_ = 0;
-    return;
-  }
-  if (tp.live_span_service_ > 0) {
-    live_->AddSpanWait(tp.live_txn_, live_name_sym_, obs::live::WaitState::kService,
-                       static_cast<int64_t>(tp.live_span_service_));
-    tp.live_span_service_ = 0;
-  }
-  if (tp.live_span_lock_ > 0) {
-    live_->AddSpanWait(tp.live_txn_, live_name_sym_, obs::live::WaitState::kLockWait,
-                       static_cast<int64_t>(tp.live_span_lock_));
-    tp.live_span_lock_ = 0;
-  }
+obs::live::SpanWaits StageProfiler::TakeSpanWaits(ThreadProfile& tp) {
+  const obs::live::SpanWaits waits{static_cast<int64_t>(tp.live_span_service_),
+                                   static_cast<int64_t>(tp.live_span_lock_)};
+  tp.live_span_service_ = 0;
+  tp.live_span_lock_ = 0;
+  return waits;
 }
 
 void StageProfiler::AccountMessage(size_t payload_bytes, size_t context_bytes) {
@@ -456,7 +444,7 @@ void StageProfiler::UpdateCct(ThreadProfile& tp) {
   tp.label_valid_ = true;
   tp.stack_.AttachCct(&CctFor(label));
   if (live_ != nullptr) {
-    tp.live_ctxt_node_ = LiveCtxtNode(tp);
+    tp.live_ctxt_node_ = LiveCtxtNode(label);
   }
 }
 

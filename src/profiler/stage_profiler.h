@@ -38,6 +38,7 @@
 
 namespace whodunit::obs::live {
 class Whodunitd;
+struct SpanWaits;
 }  // namespace whodunit::obs::live
 
 namespace whodunit::profiler {
@@ -275,13 +276,15 @@ class StageProfiler {
   callpath::CallingContextTree& CctFor(const context::Synopsis& label);
   context::Synopsis ComputeLabel(const ThreadProfile& tp);
   void UpdateCct(ThreadProfile& tp);
-  // Interned full-context node (incoming parts ++ local elements) the
-  // thread's live CPU costs are attributed to.
-  context::NodeId LiveCtxtNode(const ThreadProfile& tp) const;
+  // Interned full-context node (the label's parts concatenated: the
+  // incoming parts, then the local elements) a thread running under
+  // `label` attributes its live CPU costs to. A pure function of the
+  // label, so each label's node is computed once.
+  context::NodeId LiveCtxtNode(const context::Synopsis& label);
   void FlushLiveCost(ThreadProfile& tp);
-  // Publishes the span's accumulated service/lock-wait measurements to
-  // the daemon and resets them; called as the span closes.
-  void FlushSpanMeasurements(ThreadProfile& tp);
+  // The span's accumulated service/lock-wait measurements, reset for
+  // the next span; handed to the daemon as the span closes.
+  static obs::live::SpanWaits TakeSpanWaits(ThreadProfile& tp);
   // The thread's full context including its current call path.
   context::Synopsis FullSynopsis(ThreadProfile& tp);
   uint32_t InternCtxt(const context::Synopsis& synopsis);
@@ -297,6 +300,8 @@ class StageProfiler {
   std::unordered_map<context::Synopsis, std::unique_ptr<callpath::CallingContextTree>,
                      context::SynopsisHash>
       ccts_;
+  // LiveCtxtNode's memo: label -> interned full-context node.
+  std::unordered_map<context::Synopsis, context::NodeId, context::SynopsisHash> live_nodes_;
   // Dense ids for full-context snapshots handed to the flow detector
   // and the crosstalk recorder.
   std::unordered_map<context::Synopsis, uint32_t, context::SynopsisHash> ctxt_ids_;

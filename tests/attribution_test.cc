@@ -136,6 +136,31 @@ TEST(AttributionTest, OverlappingDownstreamWaitsSplitOnce) {
   EXPECT_EQ(SliceSum(slices), 10000);
 }
 
+TEST(AttributionTest, SiblingsWalkInStartOrderNotJoinOrder) {
+  // "b" joined after "a" but started first: the walk must hand the
+  // earlier window to "b" (index order would starve it of any time).
+  TxnEvent ev;
+  ev.start_ns = 0;
+  ev.end_ns = 10000;
+  ev.spans.push_back({S("proxy"), 0, 10000, -1, 0});
+  ev.spans.push_back({S("a"), 5000, 2000, 0, 1});  // [5000, 7000)
+  ev.spans.push_back({S("b"), 1000, 2000, 0, 2});  // [1000, 3000)
+  const auto slices = AttributeTxn(ev);
+
+  const std::vector<AttrSlice> expected = {
+      {S("a"), 0, WaitState::kSchedOther, 2000},
+      {S("b"), 0, WaitState::kSchedOther, 2000},
+      {S("proxy"), 0, WaitState::kDownstreamWait, 3000},  // [0, 1000) + [3000, 5000)
+      {S("proxy"), 0, WaitState::kSchedOther, 3000},      // [7000, 10000)
+  };
+  ASSERT_EQ(slices.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(slices[i].stage, expected[i].stage) << "slice " << i;
+    EXPECT_EQ(slices[i].state, expected[i].state) << "slice " << i;
+    EXPECT_EQ(slices[i].ns, expected[i].ns) << "slice " << i;
+  }
+}
+
 TEST(AttributionTest, OrphanSpansGraftOntoOrigin) {
   // A span whose recorded parent is invalid (negative, or not an
   // earlier index) grafts onto the origin: its time is still
@@ -175,20 +200,114 @@ TEST(AttributionTest, EmptyAndDegenerateEventsYieldNothing) {
   EXPECT_TRUE(AttributeTxn(ev).empty());
 }
 
+// ---- Name-rank cache -------------------------------------------------
+
+// Same event, spans in three tiers with every wait state present.
+// {stage, start, dur, parent, link, queue, service, lock}
+TxnEvent TieredEvent(SymbolTable& syms, std::string_view origin, std::string_view mid,
+                     std::string_view leaf) {
+  TxnEvent ev;
+  ev.type = syms.Intern("checkout");
+  ev.end_ns = 10000;
+  ev.spans.push_back({syms.Intern(origin), 0, 10000, -1, 0, 0, 2000, 0});
+  ev.spans.push_back({syms.Intern(mid), 1500, 7000, 0, 1, 500, 1500, 0});
+  ev.spans.push_back({syms.Intern(leaf), 3000, 4000, 1, 2, 200, 1000, 1800});
+  return ev;
+}
+
+void ExpectSameSlices(const AttrVec& got, const AttrVec& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].stage, want[i].stage) << "slice " << i;
+    EXPECT_EQ(got[i].ctxt, want[i].ctxt) << "slice " << i;
+    EXPECT_EQ(got[i].state, want[i].state) << "slice " << i;
+    EXPECT_EQ(got[i].ns, want[i].ns) << "slice " << i;
+  }
+}
+
+TEST(AttributionTest, RankCacheFollowsStagesInternedLater) {
+  // A long-lived scratch ranks the table's names once; a stage interned
+  // after that — whose name sorts before every existing one — must
+  // re-rank, so a warm scratch and a fresh one agree slice for slice
+  // and the aggregated views match.
+  SymbolTable table;
+  ScopedSymbolTable scope(table);
+  LiveAggregator warm_agg, fresh_agg;
+  AttrScratch warm;
+
+  TxnEvent first = TieredEvent(table, "squid", "tomcat", "mysql");
+  AttrVec fresh_first = AttributeTxn(first);
+  AttributeTxn(first, table, warm, first.attr);
+  ExpectSameSlices(first.attr, fresh_first);
+  warm_agg.Ingest(first);
+  first.attr = fresh_first;
+  fresh_agg.Ingest(first);
+
+  TxnEvent second = TieredEvent(table, "squid", "apache", "mysql");  // "apache" is new
+  AttrVec fresh_second = AttributeTxn(second);
+  AttributeTxn(second, table, warm, second.attr);
+  ExpectSameSlices(second.attr, fresh_second);
+  ASSERT_FALSE(second.attr.empty());
+  EXPECT_EQ(second.attr[0].stage, table.Intern("apache"));  // sorts first
+  warm_agg.Ingest(second);
+  second.attr = fresh_second;
+  fresh_agg.Ingest(second);
+
+  EXPECT_EQ(warm_agg.ExportAttrFolded(), fresh_agg.ExportAttrFolded());
+  const auto warm_rows = warm_agg.AttrRows();
+  const auto fresh_rows = fresh_agg.AttrRows();
+  ASSERT_EQ(warm_rows.size(), fresh_rows.size());
+  for (size_t i = 0; i < warm_rows.size(); ++i) {
+    EXPECT_EQ(warm_rows[i].stage, fresh_rows[i].stage) << "row " << i;
+    EXPECT_EQ(warm_rows[i].state, fresh_rows[i].state) << "row " << i;
+    EXPECT_EQ(warm_rows[i].ns, fresh_rows[i].ns) << "row " << i;
+  }
+}
+
+TEST(AttributionTest, ReverseAlphabeticalInternOrder) {
+  // Ids ascend while names descend, so id order and name order disagree
+  // on every pair: slices must still come out in name order, and match
+  // the same event interned alphabetically — attributed with the SAME
+  // scratch, so switching tables must invalidate its ranks too.
+  SymbolTable reversed;
+  for (const char* name : {"zeta", "tomcat", "squid", "mysql", "apache"}) {
+    reversed.Intern(name);
+  }
+  SymbolTable forward;
+  for (const char* name : {"apache", "mysql", "squid", "tomcat", "zeta"}) {
+    forward.Intern(name);
+  }
+  AttrScratch scratch;
+  AttrVec by_reversed;
+  AttributeTxn(TieredEvent(reversed, "zeta", "squid", "apache"), reversed, scratch, by_reversed);
+  AttrVec by_forward;
+  AttributeTxn(TieredEvent(forward, "zeta", "squid", "apache"), forward, scratch, by_forward);
+
+  ASSERT_FALSE(by_reversed.empty());
+  ASSERT_EQ(by_reversed.size(), by_forward.size());
+  for (size_t i = 0; i < by_reversed.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LE(reversed.Name(by_reversed[i - 1].stage), reversed.Name(by_reversed[i].stage));
+    }
+    EXPECT_EQ(reversed.Name(by_reversed[i].stage), forward.Name(by_forward[i].stage));
+    EXPECT_EQ(by_reversed[i].state, by_forward[i].state) << "slice " << i;
+    EXPECT_EQ(by_reversed[i].ns, by_forward[i].ns) << "slice " << i;
+  }
+  EXPECT_EQ(reversed.Name(by_reversed.front().stage), "apache");
+  EXPECT_EQ(reversed.Name(by_reversed.back().stage), "zeta");
+}
+
 // ---- Daemon integration ----------------------------------------------
 
 TEST(AttributionTest, DaemonAttributesPublishedTransactions) {
   sim::Scheduler sched;
   Whodunitd daemon(sched);
-  const uint64_t txn = daemon.BeginTxn("proxy", 0);
+  const uint64_t txn = daemon.BeginTxn("proxy", "checkout", 0);
   ASSERT_NE(txn, 0u);
-  daemon.SetTxnType(txn, "checkout");
   sched.RunUntil(1500);
   daemon.JoinSpan(txn, "db", /*link=*/1, sched.now(), /*queue_ns=*/300);
-  daemon.AddSpanWait(txn, "db", WaitState::kService, 400);
-  daemon.AddSpanWait(txn, "db", WaitState::kLockWait, 700);
   sched.RunUntil(4000);
-  daemon.EndSpan(txn, "db", sched.now());
+  daemon.EndSpan(txn, "db", sched.now(), {/*service_ns=*/400, /*lock_ns=*/700});
   sched.RunUntil(5000);
   daemon.CompleteTxn(txn, sched.now());
   daemon.Shutdown();
@@ -218,7 +337,7 @@ TEST(AttributionTest, DaemonAttributionKnobOff) {
   LiveOptions lo;
   lo.attribution = false;
   Whodunitd daemon(sched, lo);
-  const uint64_t txn = daemon.BeginTxn("proxy", 0);
+  const uint64_t txn = daemon.BeginTxn("proxy", "", 0);
   sched.RunUntil(100);
   daemon.CompleteTxn(txn, sched.now());
   daemon.Shutdown();

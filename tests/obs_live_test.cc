@@ -5,14 +5,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/apps/bookstore/bookstore.h"
 #include "src/apps/minihttpd/minihttpd.h"
 #include "src/apps/sedaserver/sedaserver.h"
 #include "src/obs/live/aggregator.h"
+#include "src/obs/live/attribution.h"
 #include "src/obs/live/daemon.h"
 #include "src/obs/live/span_export.h"
 #include "src/obs/live/txn_event.h"
@@ -224,6 +227,73 @@ TEST(LiveAggregatorTest, CostAndCrosstalk) {
   EXPECT_DOUBLE_EQ(pairs[0].mean_wait_ms, 6.0);
 }
 
+// Renders every aggregator view a query or export reads.
+std::string RenderViews(const LiveAggregator& agg) {
+  std::ostringstream out;
+  out << agg.txns() << " txns, " << agg.errors() << " errors\n";
+  for (const auto& r : agg.TypeRows()) {
+    out << "type " << r.type << ' ' << r.count << ' ' << r.errors << ' ' << r.mean_ms << ' '
+        << r.p50_ms << ' ' << r.p95_ms << ' ' << r.p99_ms << ' ' << r.p999_ms << '\n';
+  }
+  for (const auto& r : agg.StageRows()) {
+    out << "stage " << r.stage << ' ' << r.spans << ' ' << r.busy_ms << '\n';
+  }
+  for (const auto& r : agg.CrosstalkRows()) {
+    out << "pair " << r.waiter << ' ' << r.holder << ' ' << r.count << ' ' << r.mean_wait_ms
+        << '\n';
+  }
+  for (const auto& r : agg.TopContexts(10)) {
+    out << "ctxt " << r.ctxt << ' ' << r.cost_ns << '\n';
+  }
+  for (const auto& r : agg.AttrRows()) {
+    out << "attr " << r.type << ' ' << r.stage << ' ' << r.ctxt << ' ' << WaitStateName(r.state)
+        << ' ' << r.ns << '\n';
+  }
+  return out.str() + agg.ExportAttrFolded();
+}
+
+TEST(LiveAggregatorTest, MergeIsIdenticalAcrossMergeOrders) {
+  // Two shards intern the same names in different orders (and one name
+  // only one shard saw), so every merge remaps SymIds; folding A then B
+  // and B then A must render byte-identical views.
+  SymbolTable table_a, table_b, table_ab, table_ba;
+  const auto shard = [](SymbolTable& table, const std::vector<std::string>& types,
+                        int64_t scale) {
+    ScopedSymbolTable scope(table);
+    auto agg = std::make_unique<LiveAggregator>();
+    uint64_t id = 1;
+    for (const std::string& type : types) {
+      TxnEvent ev = MakeEvent(id, type, 0, scale * static_cast<int64_t>(id) * sim::Millis(1),
+                              /*error=*/id % 3 == 0);
+      ev.root_ctxt = static_cast<context::NodeId>(id % 4);
+      ev.attr = AttributeTxn(ev);
+      agg->Ingest(ev);
+      agg->AddCost(static_cast<context::NodeId>(id % 4), 100 * id);
+      ++id;
+    }
+    agg->NameTag(1, "read");
+    agg->NameTag(2, "write");
+    agg->IngestWait(1, 2, sim::Millis(4 * scale));
+    return agg;
+  };
+  const auto a = shard(table_a, {"write", "read", "read", "write", "read"}, 1);
+  const auto b = shard(table_b, {"read", "audit", "write", "read"}, 2);
+
+  const auto fold = [](SymbolTable& table, const LiveAggregator& first,
+                       const LiveAggregator& second) {
+    ScopedSymbolTable scope(table);
+    LiveAggregator merged;
+    merged.MergeFrom(first, {});
+    merged.MergeFrom(second, {});
+    return RenderViews(merged);
+  };
+  const std::string ab = fold(table_ab, *a, *b);
+  const std::string ba = fold(table_ba, *b, *a);
+  EXPECT_NE(ab.find("type audit"), std::string::npos) << ab;
+  EXPECT_NE(ab.find("attr "), std::string::npos) << ab;
+  EXPECT_EQ(ab, ba);
+}
+
 // ---- Daemon ----------------------------------------------------------
 
 TEST(WhodunitdTest, PublishPumpQuery) {
@@ -235,19 +305,15 @@ TEST(WhodunitdTest, PublishPumpQuery) {
     options.publish_batch = 1;
     Whodunitd d(sched, options);
 
-    const uint64_t txn = d.BeginTxn("front", d.now());
+    const uint64_t txn = d.BeginTxn("front", "checkout", d.now());
     ASSERT_NE(txn, 0u);
     EXPECT_EQ(d.inflight(), 1u);
-    d.SetTxnType(txn, "checkout");
     d.NoteSend(txn, "front", /*link=*/42);
     sched.ScheduleAt(sim::Micros(10), [&] {
       d.JoinSpan(txn, "back", /*link=*/42, d.now());
     });
     sched.ScheduleAt(sim::Micros(30), [&] { d.EndSpan(txn, "back", d.now()); });
-    sched.ScheduleAt(sim::Micros(40), [&] {
-      d.SetTxnCtxt(txn, 17);
-      d.CompleteTxn(txn, d.now());
-    });
+    sched.ScheduleAt(sim::Micros(40), [&] { d.CompleteTxn(txn, d.now(), {.ctxt = 17}); });
     sched.Run();  // pump drains the published event
 
     EXPECT_EQ(d.inflight(), 0u);
@@ -298,11 +364,11 @@ TEST(WhodunitdTest, InflightCapDropsAndShutdownAbandons) {
     LiveOptions options;
     options.max_inflight = 2;
     Whodunitd d(sched, options);
-    const uint64_t a = d.BeginTxn("s", 0);
-    const uint64_t b = d.BeginTxn("s", 0);
+    const uint64_t a = d.BeginTxn("s", "", 0);
+    const uint64_t b = d.BeginTxn("s", "", 0);
     EXPECT_NE(a, 0u);
     EXPECT_NE(b, 0u);
-    EXPECT_EQ(d.BeginTxn("s", 0), 0u);  // over the cap: dropped
+    EXPECT_EQ(d.BeginTxn("s", "", 0), 0u);  // over the cap: dropped
     // Hooks on a dropped (0) txn are no-ops, not crashes.
     d.SetTxnType(0, "x");
     d.JoinSpan(0, "s", 0, 0);
@@ -311,8 +377,71 @@ TEST(WhodunitdTest, InflightCapDropsAndShutdownAbandons) {
     EXPECT_EQ(d.inflight(), 2u);
     d.Shutdown();  // abandons a and b
     EXPECT_EQ(d.inflight(), 0u);
-    EXPECT_EQ(d.BeginTxn("s", 0), 0u);  // after shutdown: dropped
+    EXPECT_EQ(d.BeginTxn("s", "", 0), 0u);  // after shutdown: dropped
     sched.Run();
+  }
+}
+
+// The builder slab recycles a completed transaction's slot: the next
+// transaction starts clean, txn ids stay sequential, hooks on a
+// completed id never reach the slot's new owner, the in-flight cap
+// still counts live slots, and Shutdown counts what it abandons.
+TEST(WhodunitdTest, BuilderSlotsRecycleCleanly) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
+  sim::Scheduler sched;
+  {
+    LiveOptions options;
+    options.max_inflight = 2;
+    options.publish_batch = 1;
+    Whodunitd d(sched, options);
+    const uint64_t a = d.BeginTxn("front", "first", 0);
+    d.JoinSpan(a, "back", /*link=*/0, 5, /*queue_ns=*/3);
+    d.CompleteTxn(a, 10, {.ctxt = 4, .error = true});
+    const uint64_t b = d.BeginTxn("front", "", 20);  // reuses a's slot
+    EXPECT_EQ(b, a + 1);
+    // Stale hooks on the completed id: no-ops, b is untouched.
+    d.SetTxnType(a, "stale");
+    d.JoinSpan(a, "back", /*link=*/0, 21);
+    d.NoteSend(a, "front", /*link=*/9);
+    d.EndSpan(a, "front", 22, {/*service_ns=*/100, /*lock_ns=*/100});
+    d.CompleteTxn(a, 23, {.error = true});
+    EXPECT_EQ(d.inflight(), 1u);
+    const uint64_t c = d.BeginTxn("front", "third", 30);
+    EXPECT_EQ(c, b + 1);
+    EXPECT_EQ(d.BeginTxn("front", "", 31), 0u);  // over the cap: dropped
+    d.CompleteTxn(b, 40, {.stage = S("front"), .waits = {/*service_ns=*/7, /*lock_ns=*/3}});
+    sched.Run();
+
+    const auto events = d.RecentEvents();
+    ASSERT_EQ(events.size(), 2u);
+    const TxnEvent& first = events[0];
+    EXPECT_EQ(first.txn_id, a);
+    EXPECT_EQ(first.type, S("first"));
+    EXPECT_TRUE(first.error);
+    EXPECT_EQ(first.root_ctxt, 4u);
+    ASSERT_EQ(first.spans.size(), 2u);
+    EXPECT_EQ(first.spans[1].queue_ns, 3);
+    const TxnEvent& second = events[1];
+    EXPECT_EQ(second.txn_id, b);
+    EXPECT_EQ(second.type, 0u);
+    EXPECT_FALSE(second.error);
+    EXPECT_EQ(second.root_ctxt, context::kEmptyContext);
+    EXPECT_EQ(second.start_ns, 20);
+    EXPECT_EQ(second.end_ns, 40);
+    ASSERT_EQ(second.spans.size(), 1u);
+    EXPECT_EQ(second.spans[0].duration_ns, 20);
+    EXPECT_EQ(second.spans[0].service_ns, 7);
+    EXPECT_EQ(second.spans[0].lock_ns, 3);
+
+    d.Shutdown();  // abandons c
+    d.CompleteTxn(c, 50);  // after shutdown: a no-op
+    sched.Run();
+    EXPECT_EQ(d.inflight(), 0u);
+    EXPECT_EQ(reg.GetCounter("live.txns_begun").Value(), 3u);
+    EXPECT_EQ(reg.GetCounter("live.txns_published").Value(), 2u);
+    EXPECT_EQ(reg.GetCounter("live.txns_abandoned").Value(), 1u);
+    EXPECT_EQ(reg.GetCounter("live.txns_dropped").Value(), 1u);
   }
 }
 
@@ -324,8 +453,7 @@ TEST(WhodunitdTest, SpanRingKeepsNewest) {
     options.publish_batch = 1;
     Whodunitd d(sched, options);
     for (int i = 0; i < 5; ++i) {
-      const uint64_t txn = d.BeginTxn("s", d.now());
-      d.SetTxnType(txn, "t" + std::to_string(i));
+      const uint64_t txn = d.BeginTxn("s", "t" + std::to_string(i), d.now());
       d.CompleteTxn(txn, d.now());
     }
     sched.Run();
@@ -353,11 +481,11 @@ TEST(WhodunitdTest, LifecycleCountersReconcileAtShutdown) {
     options.max_inflight = 2;
     options.publish_batch = 2;
     Whodunitd d(sched, options);
-    const uint64_t a = d.BeginTxn("s", 0);
-    const uint64_t b = d.BeginTxn("s", 0);
+    const uint64_t a = d.BeginTxn("s", "", 0);
+    const uint64_t b = d.BeginTxn("s", "", 0);
     ASSERT_NE(a, 0u);
     ASSERT_NE(b, 0u);
-    EXPECT_EQ(d.BeginTxn("s", 0), 0u);  // over the cap: dropped, not begun
+    EXPECT_EQ(d.BeginTxn("s", "", 0), 0u);  // over the cap: dropped, not begun
     d.CompleteTxn(a, 10);
     // Mid-run: begun == published + abandoned + in-flight.
     EXPECT_EQ(reg.GetCounter("live.txns_begun").Value(),
@@ -463,8 +591,7 @@ TEST(WhodunitdTest, ExportsEscapeControlBytesInNames) {
     LiveOptions options;
     options.publish_batch = 1;
     Whodunitd d(sched, options);
-    const uint64_t txn = d.BeginTxn("st\tage", d.now());
-    d.SetTxnType(txn, "a\tb\nc\x01");
+    const uint64_t txn = d.BeginTxn("st\tage", "a\tb\nc\x01", d.now());
     sched.ScheduleAt(sim::Micros(10), [&] { d.CompleteTxn(txn, d.now()); });
     sched.Run();
     d.Shutdown();
@@ -552,6 +679,26 @@ TEST(LiveEndToEndTest, BookstoreWhyTailBlamesDbLockWait) {
     }
   }
   EXPECT_TRUE(lock_wait_dominates) << result.live_why_tail_text;
+}
+
+// The sampling line reports this daemon's transactions, not the
+// process-lifetime sampling.* counters: a second identical run in the
+// same process (same global registry) must render the same table.
+TEST(LiveEndToEndTest, RepeatedRunInOneProcessReportsItsOwnSampling) {
+  auto run = [] {
+    apps::BookstoreOptions options;
+    options.clients = 10;
+    options.duration = sim::Seconds(20);
+    options.warmup = sim::Seconds(2);
+    options.live = true;
+    options.live_span_ring = 16;
+    return apps::RunBookstore(options);
+  };
+  const auto first = run();
+  const auto second = run();
+  EXPECT_NE(first.live_top_text.find("txns sampled"), std::string::npos) << first.live_top_text;
+  EXPECT_EQ(first.live_top_text, second.live_top_text);
+  EXPECT_EQ(first.live_query_json, second.live_query_json);
 }
 
 // Batching determinism (docs/OBSERVABILITY.md "Batching and

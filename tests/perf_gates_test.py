@@ -110,6 +110,8 @@ class PerfGatesTest(unittest.TestCase):
             ("table3_emulation", "derived.emulate_cached_ns_per_op_min", 1100.5, "FAIL"),
             ("fig11_response_time", "wall_ms.min", 1100.0, "OK"),
             ("fig11_response_time", "wall_ms.min", 1100.5, "FAIL"),
+            ("ablation_live_obs", "wall_ms.min", 1100.0, "OK"),
+            ("ablation_live_obs", "wall_ms.min", 1100.5, "FAIL"),
         ]
         for n in (64, 1024, 16384):  # ladder == heap passes at every depth
             ladder = f"google_benchmark.BM_LadderHold/{n}.cpu_time_ns"
@@ -137,6 +139,10 @@ class PerfGatesTest(unittest.TestCase):
                       "sec93_proxy_seda_overhead"):
             row = ROWS[row_index(bench, "wall_ms.min")]
             self.assertEqual(row[2:], ("<=", Baseline("wall_ms.median"), DEMOTABLE))
+
+    def test_live_ablation_has_a_demotable_wall_row(self):
+        row = ROWS[row_index("ablation_live_obs", "wall_ms.min")]
+        self.assertEqual(row[2:], ("<=", Baseline("wall_ms.median"), DEMOTABLE))
 
     def test_missing_inputs_fail_even_when_demoted(self):
         del self.fresh["table3_emulation"]["derived"]["detector_cached_ratio"]
