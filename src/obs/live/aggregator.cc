@@ -232,8 +232,9 @@ std::vector<LiveAggregator::AttrRow> LiveAggregator::AttrRows() const {
     rows.push_back(AttrRow{TypeName(key.type), syms_->Name(key.stage), key.ctxt,
                            static_cast<WaitState>(key.state), ns});
   });
-  // attr_ is in hash order; sort by name so the rows are
-  // deterministic regardless of ingest or merge order. Interning is injective, so no two rows tie on all four.
+  // attr_ is in hash order; sort by name so the rows are deterministic
+  // regardless of ingest or merge order. Interning is injective, so no
+  // two rows tie on all four.
   std::sort(rows.begin(), rows.end(), [](const AttrRow& a, const AttrRow& b) {
     if (const int c = a.type.compare(b.type)) return c < 0;
     if (const int c = a.stage.compare(b.stage)) return c < 0;
