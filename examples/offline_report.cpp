@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
     auto via = i % 3 == 0 ? search_fn : browse_fn;
     auto f0 = caller.EnterFrame(ct, via);
     caller.ChargeCpu(ct, sim::Millis(2));
-    context::Synopsis s1 = caller.PrepareSend(ct);
+    context::SynopsisId s1 = caller.PrepareSend(ct);
     middle.OnReceive(mt, s1);
-    context::Synopsis s2;
+    context::SynopsisId s2 = context::kEmptySynopsis;
     {
       auto f1 = middle.EnterFrame(mt, logic_fn);
       middle.ChargeCpu(mt, sim::Millis(5));
@@ -87,10 +87,10 @@ int main(int argc, char** argv) {
     {
       auto f2 = leaf.EnterFrame(lt, query_fn);
       leaf.ChargeCpu(lt, via == search_fn ? sim::Millis(40) : sim::Millis(4));
-      context::Synopsis resp = leaf.PrepareSend(lt, false);
+      context::SynopsisId resp = leaf.PrepareReply(lt);
       middle.OnReceive(mt, resp);
     }
-    context::Synopsis resp2 = middle.PrepareSend(mt, false);
+    context::SynopsisId resp2 = middle.PrepareReply(mt);
     caller.OnReceive(ct, resp2);
   }
 

@@ -51,16 +51,16 @@ int main() {
     auto f2 = caller.EnterFrame(ct, rpc_fn);
 
     // send: compute the synopsis and piggy-back it on the message.
-    context::Synopsis request = caller.PrepareSend(ct);
+    context::SynopsisId request = caller.PrepareSend(ct);
 
     // ---- network ----> at the callee:
     callee.OnReceive(st, request);  // adopts the caller's context
-    context::Synopsis response;
+    context::SynopsisId response = context::kEmptySynopsis;
     {
       auto g0 = callee.EnterFrame(st, svc_fn);
       auto g1 = callee.EnterFrame(st, sort_fn);
       callee.ChargeCpu(st, callee_work);  // samples land per-context
-      response = callee.PrepareSend(st, /*expect_response=*/false);
+      response = callee.PrepareReply(st);
     }
 
     // <---- network ---- back at the caller: the response's synopsis

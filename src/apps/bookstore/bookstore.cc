@@ -25,31 +25,31 @@ namespace whodunit::apps {
 namespace {
 
 using callpath::TracksTransactions;
-using context::Synopsis;
+using context::SynopsisId;
 using profiler::StageProfiler;
 using profiler::ThreadProfile;
 using workload::TpcwTransaction;
 
 struct DbReply {
-  Synopsis syn;
+  SynopsisId syn = context::kEmptySynopsis;
 };
 struct DbRequest {
   TpcwTransaction type;  // ground-truth accounting only
   db::Query query;
   uint64_t rows_touched = 0;
-  Synopsis syn;
+  SynopsisId syn = context::kEmptySynopsis;
   uint64_t txn = 0;      // live-observability transaction id
   int64_t sent_ns = 0;   // send stamp; receiver derives queue wait
   sim::Channel<DbReply>* reply = nullptr;
 };
 struct TomcatReply {
   uint64_t body_bytes = 0;
-  Synopsis syn;
+  SynopsisId syn = context::kEmptySynopsis;
 };
 struct TomcatRequest {
   TpcwTransaction type;
   uint32_t cache_key = 0;
-  Synopsis syn;
+  SynopsisId syn = context::kEmptySynopsis;
   uint64_t txn = 0;      // live-observability transaction id
   int64_t sent_ns = 0;   // send stamp; receiver derives queue wait
   sim::Channel<TomcatReply>* reply = nullptr;
@@ -162,6 +162,9 @@ class Bookstore {
     return req;
   }
 
+  // The §9.1 context bytes a message's synopsis occupies on the wire.
+  size_t WireBytes(SynopsisId syn) const { return dep_.synopsis_table().WireBytes(syn); }
+
   // Counts an interaction that started at `start` and completes now,
   // if both fall in the measure window.
   void RecordInteraction(TpcwTransaction type, sim::SimTime start) {
@@ -200,7 +203,7 @@ class Bookstore {
           treq.txn = live_txn;
           treq.reply = &reply_ch;
           treq.syn = squid_.PrepareSend(tp);
-          squid_.AccountMessage(kRequestBytes, treq.syn.WireBytes());
+          squid_.AccountMessage(kRequestBytes, WireBytes(treq.syn));
           treq.sent_ns = sched_.now();
           tomcat_ch_.Send(treq);
           auto rep = co_await reply_ch.Receive();
@@ -208,7 +211,7 @@ class Bookstore {
             break;
           }
           squid_.OnReceive(tp, rep->syn);
-          squid_.AccountMessage(rep->body_bytes, rep->syn.WireBytes());
+          squid_.AccountMessage(rep->body_bytes, WireBytes(rep->syn));
           bytes = rep->body_bytes +
                   workload::kStaticImagesPerPage * kImageBytes;
         }
@@ -254,7 +257,7 @@ class Bookstore {
             dreq.txn = req->txn;
             dreq.reply = &reply_ch;
             dreq.syn = tomcat_.PrepareSend(tp);
-            tomcat_.AccountMessage(kRequestBytes, dreq.syn.WireBytes());
+            tomcat_.AccountMessage(kRequestBytes, WireBytes(dreq.syn));
             dreq.sent_ns = sched_.now();
             db_ch_.Send(dreq);
             auto drep = co_await reply_ch.Receive();
@@ -262,7 +265,7 @@ class Bookstore {
               break;
             }
             tomcat_.OnReceive(tp, drep->syn);
-            tomcat_.AccountMessage(2048, drep->syn.WireBytes());
+            tomcat_.AccountMessage(2048, WireBytes(drep->syn));
           }
           if (cacheable) {
             result_cache_[{req->type, req->cache_key}] =
@@ -274,8 +277,8 @@ class Bookstore {
       }
       TomcatReply rep;
       rep.body_bytes = kPageBytes;
-      rep.syn = tomcat_.PrepareSend(tp, /*expect_response=*/false);
-      tomcat_.AccountMessage(rep.body_bytes, rep.syn.WireBytes());
+      rep.syn = tomcat_.PrepareReply(tp);
+      tomcat_.AccountMessage(rep.body_bytes, WireBytes(rep.syn));
       tomcat_.LiveLeave(tp);
       req->reply->Send(rep);
     }
@@ -364,8 +367,8 @@ class Bookstore {
         }
       }
       DbReply rep;
-      rep.syn = mysql_.PrepareSend(tp, /*expect_response=*/false);
-      mysql_.AccountMessage(2048, rep.syn.WireBytes());
+      rep.syn = mysql_.PrepareReply(tp);
+      mysql_.AccountMessage(2048, WireBytes(rep.syn));
       mysql_.LiveLeave(tp);
       req->reply->Send(rep);
     }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/callpath/function_registry.h"
+#include "src/callpath/path_table.h"
 #include "src/sim/time.h"
 
 namespace whodunit::callpath {
@@ -26,6 +27,9 @@ class CallingContextTree {
   struct Node {
     FunctionId function = 0;
     NodeIndex parent = kNoNode;
+    // The node's call path interned in the profiler's CallPathTable,
+    // memoized by the first send from here (kNoPathId until then).
+    PathId path_id = kNoPathId;
     uint64_t samples = 0;       // statistical samples attributed here (exclusive)
     sim::SimTime cpu_time = 0;  // virtual ns attributed here (exclusive)
     uint64_t calls = 0;         // entry count (used by the gprof baseline)
@@ -46,6 +50,7 @@ class CallingContextTree {
   void AddSample(NodeIndex node, uint64_t count = 1) { nodes_[node].samples += count; }
   void AddCpuTime(NodeIndex node, sim::SimTime t) { nodes_[node].cpu_time += t; }
   void AddCall(NodeIndex node) { ++nodes_[node].calls; }
+  PathId& path_id(NodeIndex node) { return nodes_[node].path_id; }
 
   const Node& node(NodeIndex i) const { return nodes_[i]; }
   size_t size() const { return nodes_.size(); }

@@ -16,6 +16,7 @@
 namespace whodunit::callpath {
 
 using PathId = uint32_t;
+inline constexpr PathId kNoPathId = 0xffffffffu;
 
 class CallPathTable {
  public:

@@ -44,17 +44,6 @@ std::string Synopsis::ToString() const {
   return out.str();
 }
 
-uint64_t Synopsis::Hash() const {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (uint32_t p : parts) {
-    for (int i = 0; i < 4; ++i) {
-      h ^= (p >> (i * 8)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  }
-  return h;
-}
-
 uint32_t SynopsisDictionary::Intern(NodeId ctxt) {
   if (const uint32_t* found = ids_.Find(ctxt)) {
     obs_hits_->Add();
@@ -69,6 +58,58 @@ uint32_t SynopsisDictionary::Intern(NodeId ctxt) {
 
 TransactionContext SynopsisDictionary::Lookup(uint32_t part) const {
   return GlobalContextTree().Materialize(contexts_.at(part));
+}
+
+SynopsisTable::SynopsisTable() { nodes_.push_back(Node{}); }
+
+SynopsisId SynopsisTable::Extend(SynopsisId s, uint32_t part) {
+  bool existed = false;
+  SynopsisId& child = children_.FindOrInsert(Key(s, part), &existed);
+  if (!existed) {
+    child = static_cast<SynopsisId>(nodes_.size());
+    nodes_.push_back(Node{s, part, nodes_[s].depth + 1});
+  }
+  return child;
+}
+
+bool SynopsisTable::HasPrefix(SynopsisId s, SynopsisId prefix) const {
+  if (Depth(prefix) > Depth(s)) {
+    return false;
+  }
+  for (uint32_t up = Depth(s) - Depth(prefix); up > 0; --up) {
+    s = Parent(s);
+  }
+  return s == prefix;
+}
+
+SynopsisId SynopsisTable::Intern(const Synopsis& s) {
+  SynopsisId id = kEmptySynopsis;
+  for (uint32_t part : s.parts) {
+    id = Extend(id, part);
+  }
+  return id;
+}
+
+bool SynopsisTable::Find(const Synopsis& s, SynopsisId* out) const {
+  SynopsisId id = kEmptySynopsis;
+  for (uint32_t part : s.parts) {
+    const SynopsisId* child = children_.Find(Key(id, part));
+    if (child == nullptr) {
+      return false;
+    }
+    id = *child;
+  }
+  *out = id;
+  return true;
+}
+
+Synopsis SynopsisTable::Materialize(SynopsisId s) const {
+  Synopsis out;
+  out.parts.resize(Depth(s));
+  for (size_t i = out.parts.size(); i > 0; --i, s = Parent(s)) {
+    out.parts[i - 1] = LastPart(s);
+  }
+  return out;
 }
 
 }  // namespace whodunit::context

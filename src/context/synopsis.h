@@ -7,6 +7,11 @@
 // delimiter, then the callee's own part — `synopsis(α)#synopsis(β)` —
 // which lets the caller recognize its own synopsis as a prefix and
 // conclude the message is a reply rather than a new request.
+//
+// The runtime carries synopses as interned SynopsisIds (SynopsisTable):
+// a 4-byte id per hop, so extending, comparing and hashing a synopsis
+// is integer work. The value Synopsis is the report and interchange
+// form, materialized from an id when a profile is rendered.
 #ifndef SRC_CONTEXT_SYNOPSIS_H_
 #define SRC_CONTEXT_SYNOPSIS_H_
 
@@ -21,7 +26,9 @@
 
 namespace whodunit::context {
 
-// A synopsis: one or more 4-byte context ids joined by '#'.
+// A synopsis: one or more 4-byte context ids joined by '#'. The value
+// form, for reports, serialized profiles and tests; SynopsisTable
+// interns it.
 struct Synopsis {
   std::vector<uint32_t> parts;
 
@@ -43,12 +50,6 @@ struct Synopsis {
 
   // "12#7" — for reports and debugging.
   std::string ToString() const;
-
-  uint64_t Hash() const;
-};
-
-struct SynopsisHash {
-  size_t operator()(const Synopsis& s) const { return static_cast<size_t>(s.Hash()); }
 };
 
 // Per-stage dictionary: transaction context <-> 4-byte synopsis part.
@@ -84,6 +85,61 @@ class SynopsisDictionary {
   // reports into that shard's registry.
   obs::Counter* obs_hits_ = &obs::Registry().GetCounter("synopsis.dict_hits");
   obs::Counter* obs_inserts_ = &obs::Registry().GetCounter("synopsis.dict_inserts");
+};
+
+// An interned synopsis. Value 0 is the empty synopsis.
+using SynopsisId = uint32_t;
+inline constexpr SynopsisId kEmptySynopsis = 0;
+
+// Hash-consed synopsis chains: every synopsis is a path of parts from
+// the empty root, and a node stores (parent, last part, depth), so
+//   * Extend     — one hash-cons probe on (parent id, part);
+//   * equality   — SynopsisId comparison (same parts <=> same id);
+//   * HasPrefix  — ancestor walk of the depth difference;
+//   * WireBytes  — a function of the depth.
+// Append-only and owned by the Deployment, like the dictionary.
+class SynopsisTable {
+ public:
+  SynopsisTable();
+
+  // The synopsis `s#part`, creating it on first use.
+  SynopsisId Extend(SynopsisId s, uint32_t part);
+
+  // Number of parts, the last part (0 for the empty synopsis) and the
+  // synopsis without its last part.
+  uint32_t Depth(SynopsisId s) const { return nodes_[s].depth; }
+  uint32_t LastPart(SynopsisId s) const { return nodes_[s].part; }
+  SynopsisId Parent(SynopsisId s) const { return nodes_[s].parent; }
+
+  // Synopsis::HasPrefix on the interned chains.
+  bool HasPrefix(SynopsisId s, SynopsisId prefix) const;
+
+  // Synopsis::WireBytes: 4 bytes per part, '#' between parts.
+  size_t WireBytes(SynopsisId s) const {
+    const uint32_t depth = Depth(s);
+    return depth == 0 ? 0 : size_t{depth} * 5 - 1;
+  }
+
+  // Value form <-> id. Find interns nothing and returns false when the
+  // synopsis was never built.
+  SynopsisId Intern(const Synopsis& s);
+  bool Find(const Synopsis& s, SynopsisId* out) const;
+  Synopsis Materialize(SynopsisId s) const;
+
+  size_t size() const { return nodes_.size(); }
+
+ private:
+  struct Node {
+    SynopsisId parent = kEmptySynopsis;
+    uint32_t part = 0;
+    uint32_t depth = 0;
+  };
+  static uint64_t Key(SynopsisId parent, uint32_t part) {
+    return (uint64_t{parent} << 32) | part;
+  }
+
+  std::vector<Node> nodes_;
+  util::RobinHoodMap<uint64_t, SynopsisId> children_;
 };
 
 }  // namespace whodunit::context

@@ -1,36 +1,14 @@
-// Minimal HTTP-ish message types shared by the simulated applications.
+// The synthetic web content the simulated servers serve.
 //
-// The reproduced servers (minihttpd, miniproxy, the SEDA server, the
-// bookstore) exchange these over sim::Channel. Contents are abstract —
-// what matters for the experiments is who talks to whom, how many
-// bytes move, and what each hop costs.
+// Contents are abstract — what matters for the experiments is who
+// talks to whom, how many bytes move, and what each hop costs.
 #ifndef SRC_HTTP_HTTP_H_
 #define SRC_HTTP_HTTP_H_
 
 #include <cmath>
 #include <cstdint>
 
-#include "src/context/synopsis.h"
-
 namespace whodunit::http {
-
-struct Request {
-  uint64_t id = 0;         // unique per in-flight request
-  uint32_t object_id = 0;  // which object / which page
-  uint32_t client = 0;     // issuing client (for reply routing)
-  bool keep_alive = false;
-  uint64_t header_bytes = 300;
-  // Whodunit piggy-back (empty when profiling is off / not Whodunit).
-  context::Synopsis synopsis;
-};
-
-struct Response {
-  uint64_t id = 0;
-  uint32_t object_id = 0;
-  uint64_t body_bytes = 0;
-  int status = 200;
-  context::Synopsis synopsis;
-};
 
 // Deterministic synthetic content store: object sizes follow a
 // bounded Pareto-like distribution derived from the object id, so any

@@ -8,7 +8,7 @@
 // presentation phase merges them post mortem (paper §7.1); sharing the
 // interners up front is an implementation simplification that changes
 // no observable behaviour — synopses are still the only thing that
-// crosses stage boundaries, and they remain 4-byte parts.
+// crosses stage boundaries, as one 4-byte SynopsisId per message.
 #ifndef SRC_PROFILER_DEPLOYMENT_H_
 #define SRC_PROFILER_DEPLOYMENT_H_
 
@@ -46,6 +46,9 @@ class Deployment {
   callpath::CallPathTable& paths() { return paths_; }
   context::SynopsisDictionary& synopses() { return synopses_; }
   const context::SynopsisDictionary& synopses() const { return synopses_; }
+  // Interned synopsis chains: what the stages put on the wire.
+  context::SynopsisTable& synopsis_table() { return synopsis_table_; }
+  const context::SynopsisTable& synopsis_table() const { return synopsis_table_; }
 
   void set_element_namer(ElementNamer namer) { element_namer_ = std::move(namer); }
 
@@ -90,6 +93,7 @@ class Deployment {
   callpath::FunctionRegistry functions_;
   callpath::CallPathTable paths_;
   context::SynopsisDictionary synopses_;
+  context::SynopsisTable synopsis_table_;
   SamplingPolicy sampling_;
   ElementNamer element_namer_;
   std::vector<std::unique_ptr<StageProfiler>> stages_;

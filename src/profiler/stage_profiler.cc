@@ -13,6 +13,19 @@ using callpath::CountsCalls;
 using callpath::Samples;
 using callpath::TracksTransactions;
 
+namespace {
+
+// The slot for `id` in a per-label table, growing the table with
+// `fill` entries to cover it.
+uint32_t& SlotFor(std::vector<uint32_t>& table, context::SynopsisId id, uint32_t fill) {
+  if (id >= table.size()) {
+    table.resize(size_t{id} + 1, fill);
+  }
+  return table[id];
+}
+
+}  // namespace
+
 StageProfiler::StageProfiler(Deployment& deployment, Options options)
     : deployment_(deployment),
       options_(std::move(options)),
@@ -93,16 +106,16 @@ void StageProfiler::ResetTransaction(ThreadProfile& tp) {
   if (!TracksTransactions(options_.mode)) {
     return;
   }
-  tp.incoming_ = {};
+  tp.incoming_ = context::kEmptySynopsis;
   tp.local_node_ = context::kEmptyContext;
   tp.pending_sends_.clear();
   tp.sampled_ = deployment_.sampling().Decide();
   UpdateCct(tp);
 }
 
-context::Synopsis StageProfiler::PrepareSend(ThreadProfile& tp, bool expect_response) {
+context::SynopsisId StageProfiler::SendSynopsis(ThreadProfile& tp) {
   if (!TracksTransactions(options_.mode)) {
-    return {};
+    return context::kEmptySynopsis;
   }
   // Unsampled transaction: piggy-back nothing. A sampled send always
   // carries at least one part, so the receiver reads an empty wire
@@ -110,29 +123,29 @@ context::Synopsis StageProfiler::PrepareSend(ThreadProfile& tp, bool expect_resp
   // dictionary work, no pending-send state, no per-message cost.
   if (!tp.sampled_) {
     obs_suppressed_->Add();
-    return {};
+    return context::kEmptySynopsis;
   }
   obs_sends_->Add();
-  // Transaction context at the send point: the locally accumulated
-  // elements plus the call path leading to the send (§5). Two O(1)
-  // probes: one hash-cons append, one synopsis-dictionary lookup.
-  const context::NodeId send_node = context::GlobalContextTree().Append(
-      tp.local_node_, context::Element{context::ElementKind::kCallPath,
-                                       deployment_.paths().Intern(tp.stack_.path())});
-  const uint32_t part = deployment_.synopses().Intern(send_node);
-  context::Synopsis wire = tp.incoming_.Extend(context::Synopsis{{part}});
-  if (expect_response) {
-    tp.pending_sends_.emplace_back(
-        wire, ThreadProfile::SavedState{tp.incoming_, tp.local_node_});
-  }
   ++tp.uncharged_messages_;
+  return FullSynopsis(tp);
+}
+
+context::SynopsisId StageProfiler::PrepareSend(ThreadProfile& tp) {
+  const context::SynopsisId wire = SendSynopsis(tp);
+  if (wire == context::kEmptySynopsis) {
+    return wire;
+  }
+  tp.pending_sends_.push_back(ThreadProfile::PendingSend{wire, tp.incoming_, tp.local_node_});
   if (live_ != nullptr && tp.live_txn_ != 0) {
-    live_->NoteSend(tp.live_txn_, live_name_sym_, part);
+    live_->NoteSend(tp.live_txn_, live_name_sym_,
+                    deployment_.synopsis_table().LastPart(wire));
   }
   return wire;
 }
 
-bool StageProfiler::OnReceive(ThreadProfile& tp, const context::Synopsis& synopsis) {
+context::SynopsisId StageProfiler::PrepareReply(ThreadProfile& tp) { return SendSynopsis(tp); }
+
+bool StageProfiler::OnReceive(ThreadProfile& tp, context::SynopsisId synopsis) {
   if (!TracksTransactions(options_.mode)) {
     return false;
   }
@@ -141,7 +154,7 @@ bool StageProfiler::OnReceive(ThreadProfile& tp, const context::Synopsis& synops
   // state across the hop and skip the context machinery. Gated on
   // always_on so rate-1.0 deployments keep the historical
   // adopt-empty-context behaviour byte for byte.
-  if (synopsis.empty() && !deployment_.sampling().always_on()) {
+  if (synopsis == context::kEmptySynopsis && !deployment_.sampling().always_on()) {
     tp.sampled_ = false;
     tp.pending_sends_.clear();
     return false;
@@ -151,10 +164,11 @@ bool StageProfiler::OnReceive(ThreadProfile& tp, const context::Synopsis& synops
   // Response recognition (§5): a message whose synopsis extends one we
   // sent is the reply to that request; restore the context we had when
   // we issued it.
+  const context::SynopsisTable& table = deployment_.synopsis_table();
   for (auto it = tp.pending_sends_.begin(); it != tp.pending_sends_.end(); ++it) {
-    if (synopsis.parts.size() > it->first.parts.size() && synopsis.HasPrefix(it->first)) {
-      tp.incoming_ = it->second.incoming;
-      tp.local_node_ = it->second.local_node;
+    if (synopsis != it->wire && table.HasPrefix(synopsis, it->wire)) {
+      tp.incoming_ = it->incoming;
+      tp.local_node_ = it->local_node;
       tp.pending_sends_.erase(it);
       UpdateCct(tp);
       obs_matches_->Add();
@@ -181,12 +195,9 @@ void StageProfiler::AdoptCtxt(ThreadProfile& tp, uint32_t ctxt_id) {
   UpdateCct(tp);
 }
 
-const context::Synopsis& StageProfiler::SynopsisOfCtxtId(uint32_t ctxt_id) const {
-  return ctxt_table_.at(ctxt_id);
-}
-
 uint64_t StageProfiler::CrosstalkTag(ThreadProfile& tp) {
-  return InternCtxt(ComputeLabel(tp));
+  UpdateCct(tp);
+  return InternCtxt(tp.current_label_);
 }
 
 void StageProfiler::AttachLive(obs::live::Whodunitd* live) {
@@ -237,7 +248,7 @@ void StageProfiler::LiveJoin(ThreadProfile& tp, uint64_t txn, sim::SimTime queue
   }
   // tp.live_ctxt_node_ is already current: UpdateCct recomputes it on
   // every context change.
-  const uint32_t link = tp.incoming_.parts.empty() ? 0 : tp.incoming_.parts.back();
+  const uint32_t link = deployment_.synopsis_table().LastPart(tp.incoming_);
   live_->JoinSpan(txn, live_name_sym_, link, live_->now(), queue_ns, tp.live_ctxt_node_);
 }
 
@@ -288,15 +299,21 @@ void StageProfiler::FlushLive() {
   }
 }
 
-context::NodeId StageProfiler::LiveCtxtNode(const context::Synopsis& label) {
-  auto [it, inserted] = live_nodes_.try_emplace(label, context::kEmptyContext);
-  if (inserted) {
-    context::ContextTree& tree = context::GlobalContextTree();
-    for (uint32_t part : label.parts) {
-      it->second = tree.Concat(it->second, deployment_.synopses().LookupNode(part));
-    }
+context::NodeId StageProfiler::LiveCtxtNode(context::SynopsisId label) {
+  context::NodeId& memo = SlotFor(live_nodes_, label, kNoEntry);
+  if (memo == kNoEntry) {
+    memo = ConcatParts(label);
   }
-  return it->second;
+  return memo;
+}
+
+context::NodeId StageProfiler::ConcatParts(context::SynopsisId label) const {
+  if (label == context::kEmptySynopsis) {
+    return context::kEmptyContext;
+  }
+  const context::SynopsisTable& table = deployment_.synopsis_table();
+  return context::GlobalContextTree().Concat(
+      ConcatParts(table.Parent(label)), deployment_.synopses().LookupNode(table.LastPart(label)));
 }
 
 void StageProfiler::FlushLiveCost(ThreadProfile& tp) {
@@ -320,23 +337,28 @@ void StageProfiler::AccountMessage(size_t payload_bytes, size_t context_bytes) {
   context_bytes_ += context_bytes;
 }
 
+const callpath::CallingContextTree* StageProfiler::FindCct(context::SynopsisId label) const {
+  return label < ccts_.size() ? ccts_[label].get() : nullptr;
+}
+
 const callpath::CallingContextTree* StageProfiler::FindCct(
     const context::Synopsis& label) const {
-  auto it = ccts_.find(label);
-  return it == ccts_.end() ? nullptr : it->second.get();
+  context::SynopsisId id = context::kEmptySynopsis;
+  return deployment_.synopsis_table().Find(label, &id) ? FindCct(id) : nullptr;
 }
 
 std::vector<std::pair<context::Synopsis, const callpath::CallingContextTree*>>
 StageProfiler::LabeledCcts() const {
   std::vector<std::pair<context::Synopsis, const callpath::CallingContextTree*>> out;
-  out.reserve(ccts_.size());
-  for (const auto& [label, cct] : ccts_) {
+  for (context::SynopsisId label = 0; label < ccts_.size(); ++label) {
+    const callpath::CallingContextTree* cct = ccts_[label].get();
     // Skip trees that were created (a thread merely passed through the
     // context) but never accumulated any profile data.
-    if (cct->TotalCpuTime() == 0 && cct->TotalSamples() == 0 && cct->size() == 1) {
+    if (cct == nullptr ||
+        (cct->TotalCpuTime() == 0 && cct->TotalSamples() == 0 && cct->size() == 1)) {
       continue;
     }
-    out.emplace_back(label, cct.get());
+    out.emplace_back(deployment_.synopsis_table().Materialize(label), cct);
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.first.parts < b.first.parts;
@@ -346,16 +368,16 @@ StageProfiler::LabeledCcts() const {
 
 uint64_t StageProfiler::total_samples() const {
   uint64_t total = 0;
-  for (const auto& [label, cct] : ccts_) {
-    total += cct->TotalSamples();
+  for (const auto& cct : ccts_) {
+    total += cct != nullptr ? cct->TotalSamples() : 0;
   }
   return total;
 }
 
 sim::SimTime StageProfiler::total_cpu_time() const {
   sim::SimTime total = 0;
-  for (const auto& [label, cct] : ccts_) {
-    total += cct->TotalCpuTime();
+  for (const auto& cct : ccts_) {
+    total += cct != nullptr ? cct->TotalCpuTime() : 0;
   }
   return total;
 }
@@ -381,7 +403,10 @@ std::string StageProfiler::RenderFlatProfile(size_t max_rows) const {
     uint64_t calls = 0;
   };
   std::map<callpath::FunctionId, Row> rows;
-  for (const auto& [label, cct] : ccts_) {
+  for (const auto& cct : ccts_) {
+    if (cct == nullptr) {
+      continue;
+    }
     for (callpath::NodeIndex i = 0; i < cct->size(); ++i) {
       const auto& node = cct->node(i);
       if (i == cct->root()) {
@@ -413,25 +438,34 @@ std::string StageProfiler::RenderFlatProfile(size_t max_rows) const {
   return out.str();
 }
 
-callpath::CallingContextTree& StageProfiler::CctFor(const context::Synopsis& label) {
-  auto it = ccts_.find(label);
-  if (it == ccts_.end()) {
-    it = ccts_.emplace(label, std::make_unique<callpath::CallingContextTree>()).first;
+callpath::CallingContextTree& StageProfiler::CctFor(context::SynopsisId label) {
+  if (label >= ccts_.size()) {
+    ccts_.resize(size_t{label} + 1);
   }
-  return *it->second;
+  std::unique_ptr<callpath::CallingContextTree>& cct = ccts_[label];
+  if (cct == nullptr) {
+    cct = std::make_unique<callpath::CallingContextTree>();
+  }
+  return *cct;
 }
 
-context::Synopsis StageProfiler::ComputeLabel(const ThreadProfile& tp) {
+context::SynopsisId StageProfiler::ComputeLabel(const ThreadProfile& tp) {
   if (tp.local_node_ == context::kEmptyContext) {
     return tp.incoming_;
   }
-  context::Synopsis label = tp.incoming_;
-  label.parts.push_back(deployment_.synopses().Intern(tp.local_node_));
-  return label;
+  return deployment_.synopsis_table().Extend(tp.incoming_,
+                                             deployment_.synopses().Intern(tp.local_node_));
 }
 
 void StageProfiler::UpdateCct(ThreadProfile& tp) {
-  context::Synopsis label = ComputeLabel(tp);
+  // The label is a pure function of (incoming_, local_node_).
+  if (tp.label_valid_ && tp.incoming_ == tp.label_incoming_ &&
+      tp.local_node_ == tp.label_local_) {
+    return;
+  }
+  tp.label_incoming_ = tp.incoming_;
+  tp.label_local_ = tp.local_node_;
+  const context::SynopsisId label = ComputeLabel(tp);
   if (tp.label_valid_ && label == tp.current_label_) {
     return;
   }
@@ -448,21 +482,35 @@ void StageProfiler::UpdateCct(ThreadProfile& tp) {
   }
 }
 
-context::Synopsis StageProfiler::FullSynopsis(ThreadProfile& tp) {
-  const context::NodeId full = context::GlobalContextTree().Append(
-      tp.local_node_, context::Element{context::ElementKind::kCallPath,
-                                       deployment_.paths().Intern(tp.stack_.path())});
-  return tp.incoming_.Extend(context::Synopsis{{deployment_.synopses().Intern(full)}});
+callpath::PathId StageProfiler::CurrentPathId(ThreadProfile& tp) {
+  callpath::CallingContextTree* cct = tp.stack_.cct();
+  if (cct == nullptr) {
+    return deployment_.paths().Intern(tp.stack_.path());
+  }
+  // The attached CCT's current node spells exactly the stack's path.
+  callpath::PathId& memo = cct->path_id(tp.stack_.current_node());
+  if (memo == callpath::kNoPathId) {
+    memo = deployment_.paths().Intern(tp.stack_.path());
+  }
+  return memo;
 }
 
-uint32_t StageProfiler::InternCtxt(const context::Synopsis& synopsis) {
-  auto it = ctxt_ids_.find(synopsis);
-  if (it != ctxt_ids_.end()) {
-    return it->second;
+context::SynopsisId StageProfiler::FullSynopsis(ThreadProfile& tp) {
+  // Transaction context at the send point: the locally accumulated
+  // elements plus the call path leading here (§5). Three O(1) probes:
+  // one hash-cons append, one synopsis-dictionary lookup, one chain
+  // extension.
+  const context::NodeId full = context::GlobalContextTree().Append(
+      tp.local_node_, context::Element{context::ElementKind::kCallPath, CurrentPathId(tp)});
+  return deployment_.synopsis_table().Extend(tp.incoming_, deployment_.synopses().Intern(full));
+}
+
+uint32_t StageProfiler::InternCtxt(context::SynopsisId synopsis) {
+  uint32_t& id = SlotFor(ctxt_ids_, synopsis, kNoEntry);
+  if (id == kNoEntry) {
+    id = static_cast<uint32_t>(ctxt_table_.size());
+    ctxt_table_.push_back(synopsis);
   }
-  const auto id = static_cast<uint32_t>(ctxt_table_.size());
-  ctxt_table_.push_back(synopsis);
-  ctxt_ids_.emplace(synopsis, id);
   return id;
 }
 

@@ -7,7 +7,9 @@
 //     its current transaction context (§7.1);
 //   * the send/receive context machinery: PrepareSend computes the
 //     synopsis at the send point and OnReceive either adopts a request
-//     context or recognizes a response by the prefix rule (§5, §7.4);
+//     context or recognizes a response by the prefix rule (§5, §7.4).
+//     Synopses travel as interned SynopsisIds (context::SynopsisTable),
+//     and every per-label table here is indexed by that id;
 //   * the bridge to the shared-memory flow detector: CurrentCtxtId
 //     snapshots the executing thread's full context for produce
 //     points, AdoptCtxt makes a consumer continue the producer's
@@ -22,7 +24,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/callpath/cct.h"
@@ -52,7 +53,7 @@ class ThreadProfile {
 
   const std::string& name() const { return name_; }
   const callpath::ShadowStack& stack() const { return stack_; }
-  const context::Synopsis& incoming() const { return incoming_; }
+  context::SynopsisId incoming() const { return incoming_; }
   context::NodeId local_node() const { return local_node_; }
   context::TransactionContext local_context() const {
     return context::GlobalContextTree().Materialize(local_node_);
@@ -61,8 +62,11 @@ class ThreadProfile {
  private:
   friend class StageProfiler;
 
-  struct SavedState {
-    context::Synopsis incoming;
+  // An outstanding request: the synopsis it carried and the state to
+  // restore when the matching response arrives.
+  struct PendingSend {
+    context::SynopsisId wire;
+    context::SynopsisId incoming;
     context::NodeId local_node;
   };
 
@@ -70,14 +74,16 @@ class ThreadProfile {
   callpath::ShadowStack stack_;
   callpath::Sampler sampler_;
   // κ: transaction context inherited from other stages, as a synopsis.
-  context::Synopsis incoming_;
+  context::SynopsisId incoming_ = context::kEmptySynopsis;
   // Locally accumulated context elements (handlers, stages, adopted
   // shared-memory flows), interned into the global context tree.
   context::NodeId local_node_ = context::kEmptyContext;
-  // Outstanding requests: sent synopsis -> state to restore when the
-  // matching response arrives.
-  std::vector<std::pair<context::Synopsis, SavedState>> pending_sends_;
-  context::Synopsis current_label_;
+  std::vector<PendingSend> pending_sends_;
+  // The CCT label and the (incoming_, local_node_) it was computed
+  // from; UpdateCct recomputes it only when either changes.
+  context::SynopsisId current_label_ = context::kEmptySynopsis;
+  context::SynopsisId label_incoming_ = context::kEmptySynopsis;
+  context::NodeId label_local_ = context::kEmptyContext;
   bool label_valid_ = false;
   // Production sampling (docs/PRODUCTION.md): whether the transaction
   // this thread is currently executing was chosen by the deployment's
@@ -181,14 +187,22 @@ class StageProfiler {
   void SetSampled(ThreadProfile& tp, bool sampled) { tp.sampled_ = sampled; }
 
   // ---- Messaging (§5, §7.4) ------------------------------------------
-  // Computes the synopsis to piggy-back on an outgoing request and
-  // saves state so the response can restore it. For one-way sends or
-  // responses pass expect_response = false.
-  context::Synopsis PrepareSend(ThreadProfile& tp, bool expect_response = true);
+  // Computes the synopsis to piggy-back on an outgoing request, saves
+  // state so the response can restore it, and notes the send as the
+  // live span's link for the receiver's JoinSpan.
+  context::SynopsisId PrepareSend(ThreadProfile& tp);
+  // The synopsis for a reply: the same wire form, but a reply expects
+  // no response and starts no downstream span, so it saves no pending
+  // send and notes no live link.
+  context::SynopsisId PrepareReply(ThreadProfile& tp);
   // Handles a piggy-backed synopsis on receive: recognizes responses
   // by the prefix rule (restoring the saved context), otherwise adopts
-  // the request context. Returns true if it was a response.
-  bool OnReceive(ThreadProfile& tp, const context::Synopsis& synopsis);
+  // the request context. Returns true if it was a response. The value
+  // form interns into the deployment's synopsis table first.
+  bool OnReceive(ThreadProfile& tp, context::SynopsisId synopsis);
+  bool OnReceive(ThreadProfile& tp, const context::Synopsis& synopsis) {
+    return OnReceive(tp, deployment_.synopsis_table().Intern(synopsis));
+  }
 
   // ---- Shared-memory flow (§3.5) --------------------------------------
   // Snapshot of the thread's full current context (including its call
@@ -197,7 +211,9 @@ class StageProfiler {
   // Consumer side of a detected flow: continue the producer's
   // transaction from here on.
   void AdoptCtxt(ThreadProfile& tp, uint32_t ctxt_id);
-  const context::Synopsis& SynopsisOfCtxtId(uint32_t ctxt_id) const;
+  context::SynopsisId SynopsisOfCtxtId(uint32_t ctxt_id) const {
+    return ctxt_table_.at(ctxt_id);
+  }
 
   // ---- Crosstalk ------------------------------------------------------
   // Tag identifying the thread's current transaction type for lock
@@ -205,7 +221,9 @@ class StageProfiler {
   uint64_t CrosstalkTag(ThreadProfile& tp);
   // The tag a thread running under `label` would report — lets report
   // generators join crosstalk rows with CCT labels.
-  uint64_t TagForLabel(const context::Synopsis& label) { return InternCtxt(label); }
+  uint64_t TagForLabel(const context::Synopsis& label) {
+    return InternCtxt(deployment_.synopsis_table().Intern(label));
+  }
 
   // ---- Live observability (src/obs/live) ------------------------------
   // When a Whodunitd is attached (normally via Deployment::AttachLive),
@@ -253,8 +271,9 @@ class StageProfiler {
 
   // ---- Results ---------------------------------------------------------
   // CCT for a given transaction-context label (nullptr if absent).
+  const callpath::CallingContextTree* FindCct(context::SynopsisId label) const;
   const callpath::CallingContextTree* FindCct(const context::Synopsis& label) const;
-  // All labels with their CCTs, in a deterministic order.
+  // All labels with their CCTs, materialized and sorted by parts.
   std::vector<std::pair<context::Synopsis, const callpath::CallingContextTree*>> LabeledCcts()
       const;
   uint64_t total_samples() const;
@@ -273,21 +292,32 @@ class StageProfiler {
  private:
   friend class FrameGuard;
 
-  callpath::CallingContextTree& CctFor(const context::Synopsis& label);
-  context::Synopsis ComputeLabel(const ThreadProfile& tp);
+  callpath::CallingContextTree& CctFor(context::SynopsisId label);
+  context::SynopsisId ComputeLabel(const ThreadProfile& tp);
   void UpdateCct(ThreadProfile& tp);
   // Interned full-context node (the label's parts concatenated: the
   // incoming parts, then the local elements) a thread running under
   // `label` attributes its live CPU costs to. A pure function of the
   // label, so each label's node is computed once.
-  context::NodeId LiveCtxtNode(const context::Synopsis& label);
+  context::NodeId LiveCtxtNode(context::SynopsisId label);
+  // LiveCtxtNode's computation: each part's context concatenated
+  // onto the node of the label's parent, root first.
+  context::NodeId ConcatParts(context::SynopsisId label) const;
   void FlushLiveCost(ThreadProfile& tp);
   // The span's accumulated service/lock-wait measurements, reset for
   // the next span; handed to the daemon as the span closes.
   static obs::live::SpanWaits TakeSpanWaits(ThreadProfile& tp);
-  // The thread's full context including its current call path.
-  context::Synopsis FullSynopsis(ThreadProfile& tp);
-  uint32_t InternCtxt(const context::Synopsis& synopsis);
+  // The thread's full context including its current call path: the
+  // synopsis a send from here carries.
+  context::SynopsisId FullSynopsis(ThreadProfile& tp);
+  // PrepareSend/PrepareReply's shared part: FullSynopsis plus the
+  // send's counters and per-message cost (kEmptySynopsis when the
+  // transaction is untracked or unsampled).
+  context::SynopsisId SendSynopsis(ThreadProfile& tp);
+  // The interned id of the thread's current call path, memoized on
+  // its CCT node.
+  callpath::PathId CurrentPathId(ThreadProfile& tp);
+  uint32_t InternCtxt(context::SynopsisId synopsis);
 
   Deployment& deployment_;
   Options options_;
@@ -297,15 +327,16 @@ class StageProfiler {
   // hook passes it instead of options_.name.
   uint32_t live_name_sym_ = 0;
   std::vector<std::unique_ptr<ThreadProfile>> threads_;
-  std::unordered_map<context::Synopsis, std::unique_ptr<callpath::CallingContextTree>,
-                     context::SynopsisHash>
-      ccts_;
-  // LiveCtxtNode's memo: label -> interned full-context node.
-  std::unordered_map<context::Synopsis, context::NodeId, context::SynopsisHash> live_nodes_;
-  // Dense ids for full-context snapshots handed to the flow detector
-  // and the crosstalk recorder.
-  std::unordered_map<context::Synopsis, uint32_t, context::SynopsisHash> ctxt_ids_;
-  std::vector<context::Synopsis> ctxt_table_;
+  // Per-label tables, indexed by the label's SynopsisId: the label's
+  // CCT (null until a thread runs under it), LiveCtxtNode's memo
+  // (kNoEntry until computed) and the dense ids InternCtxt hands to
+  // the flow detector and the crosstalk recorder (kNoEntry until
+  // assigned), with ctxt_table_ as the inverse.
+  static constexpr uint32_t kNoEntry = 0xffffffffu;
+  std::vector<std::unique_ptr<callpath::CallingContextTree>> ccts_;
+  std::vector<context::NodeId> live_nodes_;
+  std::vector<uint32_t> ctxt_ids_;
+  std::vector<context::SynopsisId> ctxt_table_;
 
   uint64_t payload_bytes_ = 0;
   uint64_t context_bytes_ = 0;

@@ -2,7 +2,8 @@
 # Tests for the perf gate table (scripts/perf_gates.py): each row must
 # catch a breach, keep its comparison operator at the boundary, and
 # demote only wall-clock rows under CHECK_PERF_WARN_ONLY=1. Fixtures are
-# BENCH_<name>.json documents built from dicts in a temp dir.
+# BENCH_<name>.json documents built from dicts in a temp dir. Also pins
+# how scripts/run_benches.sh reduces the gated fields over its runs.
 import json
 import os
 import subprocess
@@ -180,6 +181,55 @@ class PerfGatesTest(unittest.TestCase):
         done = subprocess.run([sys.executable, os.path.join(SCRIPTS, "perf_gates.py")],
                               capture_output=True, text=True)
         self.assertEqual(done.returncode, 2)
+
+
+class RunBenchesTest(unittest.TestCase):
+    """scripts/run_benches.sh reduces the metrics-derived fields over the
+    runs instead of taking the last run's."""
+
+    def test_live_fields_are_the_median_over_runs(self):
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        state = os.path.join(tmp.name, "state")
+        bench_dir = os.path.join(tmp.name, "build", "bench")
+        out_dir = os.path.join(tmp.name, "out")
+        os.makedirs(state)
+        os.makedirs(bench_dir)
+        # Three runs whose last one is neither the median nor the max.
+        runs = [(700, 0, 2000), (500, 3, 1000), (900, 0, 3000)]
+        for i, (publish, allocs, overhead) in enumerate(runs, start=1):
+            gauges = {
+                "bench.ablation_live_obs.base_ns_per_txn": 5000,
+                "bench.ablation_live_obs.publish_ns_per_txn": publish,
+                "bench.ablation_live_obs.attr_publish_ns_per_txn": publish // 2,
+                "bench.ablation_live_obs.live_overhead_pct_x100": overhead,
+                "bench.ablation_live_obs.steady_allocs": allocs,
+            }
+            with open(os.path.join(state, f"metrics_{i}.json"), "w") as f:
+                json.dump({"counters": {}, "gauges": gauges}, f)
+        bench = os.path.join(bench_dir, "bench_ablation_live_obs")
+        with open(bench, "w") as f:
+            f.write(f"""#!/bin/sh
+n=$(cat '{state}/n' 2>/dev/null || echo 0)
+n=$((n + 1))
+echo "$n" > '{state}/n'
+cp '{state}/metrics_'"$n"'.json' "$WHODUNIT_METRICS_DIR/BENCH_ablation_live_obs.metrics.json"
+""")
+        os.chmod(bench, 0o755)
+        done = subprocess.run(
+            ["sh", os.path.join(SCRIPTS, "run_benches.sh"), "-n", "3",
+             "-B", os.path.join(tmp.name, "build"), "-o", out_dir, "bench_ablation_live_obs"],
+            capture_output=True, text=True)
+        self.assertEqual(done.returncode, 0, done.stderr)
+        with open(os.path.join(out_dir, "BENCH_ablation_live_obs.json")) as f:
+            derived = json.load(f)["derived"]
+        self.assertEqual(derived["publish_ns_per_txn"], 700)
+        self.assertEqual(derived["attr_publish_ns_per_txn"], 350)
+        self.assertEqual(derived["live_publish_pct_of_base"], 14.0)
+        self.assertEqual(derived["attr_publish_overhead_pct"], 7.0)
+        self.assertEqual(derived["live_publish_overhead_pct"], 20.0)
+        # Any allocating run fails the ==0 gate, so the max is kept.
+        self.assertEqual(derived["steady_allocs"], 3)
 
 
 if __name__ == "__main__":

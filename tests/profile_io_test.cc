@@ -38,7 +38,7 @@ struct Rig {
       auto f0 = caller.EnterFrame(ct, main_fn);
       caller.ChargeCpu(ct, 1000);
       auto f1 = caller.EnterFrame(ct, foo_fn);
-      request = caller.PrepareSend(ct);
+      request = dep.synopsis_table().Materialize(caller.PrepareSend(ct));
     }
     caller.AccountMessage(500, request.WireBytes());
     callee.OnReceive(st, request);

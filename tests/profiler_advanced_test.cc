@@ -32,18 +32,18 @@ TEST(ProfilerAdvancedTest, PipelinedRequestsMatchInAnyOrder) {
   Synopsis req_foo, req_bar;
   {
     auto f = caller.EnterFrame(ct, foo);
-    req_foo = caller.PrepareSend(ct);
+    req_foo = dep.synopsis_table().Materialize(caller.PrepareSend(ct));
   }
   {
     auto f = caller.EnterFrame(ct, bar);
-    req_bar = caller.PrepareSend(ct);
+    req_bar = dep.synopsis_table().Materialize(caller.PrepareSend(ct));
   }
 
   // Callee answers bar first.
   callee.OnReceive(st, req_bar);
-  Synopsis resp_bar = callee.PrepareSend(st, false);
+  Synopsis resp_bar = dep.synopsis_table().Materialize(callee.PrepareReply(st));
   callee.OnReceive(st, req_foo);
-  Synopsis resp_foo = callee.PrepareSend(st, false);
+  Synopsis resp_foo = dep.synopsis_table().Materialize(callee.PrepareReply(st));
 
   EXPECT_TRUE(caller.OnReceive(ct, resp_bar));
   EXPECT_TRUE(caller.OnReceive(ct, resp_foo));
@@ -60,7 +60,7 @@ TEST(ProfilerAdvancedTest, ResetClearsPendingSends) {
   Synopsis req;
   {
     auto f = prof.EnterFrame(tp, fn);
-    req = prof.PrepareSend(tp);
+    req = dep.synopsis_table().Materialize(prof.PrepareSend(tp));
   }
   prof.ResetTransaction(tp);
   // A response to the pre-reset request no longer matches.
@@ -72,9 +72,9 @@ TEST(ProfilerAdvancedTest, NoneModeDisablesContextMachinery) {
   Deployment dep;
   StageProfiler prof(dep, Opts("s", ProfilerMode::kNone));
   ThreadProfile& tp = prof.CreateThread("t");
-  EXPECT_TRUE(prof.PrepareSend(tp).empty());
+  EXPECT_EQ(prof.PrepareSend(tp), context::kEmptySynopsis);
   EXPECT_FALSE(prof.OnReceive(tp, Synopsis{{1, 2}}));
-  EXPECT_TRUE(tp.incoming().empty());
+  EXPECT_EQ(tp.incoming(), context::kEmptySynopsis);
   prof.AdoptCtxt(tp, 0);  // no-op, no crash
 }
 
@@ -106,18 +106,18 @@ TEST(ProfilerAdvancedTest, WireBytesGrowAlongTheChain) {
   Synopsis s1;
   {
     auto f = a.EnterFrame(at, fn_a);
-    s1 = a.PrepareSend(at);
+    s1 = dep.synopsis_table().Materialize(a.PrepareSend(at));
   }
   EXPECT_EQ(s1.WireBytes(), 4u);  // one 4-byte part
   b.OnReceive(bt, s1);
   Synopsis s2;
   {
     auto f = b.EnterFrame(bt, fn_b);
-    s2 = b.PrepareSend(bt);
+    s2 = dep.synopsis_table().Materialize(b.PrepareSend(bt));
   }
   EXPECT_EQ(s2.WireBytes(), 9u);  // two parts + '#'
   c.OnReceive(ct, s2);
-  Synopsis s3 = c.PrepareSend(ct, false);
+  Synopsis s3 = dep.synopsis_table().Materialize(c.PrepareReply(ct));
   EXPECT_EQ(s3.WireBytes(), 14u);  // three parts + two '#'
   EXPECT_TRUE(s3.HasPrefix(s2));
   EXPECT_TRUE(s2.HasPrefix(s1));
@@ -134,11 +134,11 @@ TEST(ProfilerAdvancedTest, SameCallPathSameSynopsisPart) {
   Synopsis first, second;
   {
     auto f = prof.EnterFrame(tp, fn);
-    first = prof.PrepareSend(tp);
+    first = dep.synopsis_table().Materialize(prof.PrepareSend(tp));
   }
   {
     auto f = prof.EnterFrame(tp, fn);
-    second = prof.PrepareSend(tp);
+    second = dep.synopsis_table().Materialize(prof.PrepareSend(tp));
   }
   EXPECT_EQ(first, second);
   EXPECT_EQ(dep.synopses().size(), 1u);

@@ -162,7 +162,7 @@ TEST(StageProfilerTest, RpcRoundTripAcrossStages) {
   auto do_rpc = [&](callpath::FunctionId via) {
     auto g0 = caller.EnterFrame(ct, main_fn);
     auto g1 = caller.EnterFrame(ct, via);
-    Synopsis request = caller.PrepareSend(ct);
+    Synopsis request = dep.synopsis_table().Materialize(caller.PrepareSend(ct));
 
     // --- at the callee ---
     bool was_response = callee.OnReceive(st, request);
@@ -171,7 +171,7 @@ TEST(StageProfilerTest, RpcRoundTripAcrossStages) {
     {
       auto g2 = callee.EnterFrame(st, svc_fn);
       callee.ChargeCpu(st, 500);
-      response = callee.PrepareSend(st, /*expect_response=*/false);
+      response = dep.synopsis_table().Materialize(callee.PrepareReply(st));
     }
 
     // --- back at the caller ---
@@ -211,13 +211,13 @@ TEST(StageProfilerTest, ThreeStageChainExtendsSynopsis) {
   Synopsis s1;
   {
     auto g = web.EnterFrame(wt, wf);
-    s1 = web.PrepareSend(wt);
+    s1 = dep.synopsis_table().Materialize(web.PrepareSend(wt));
   }
   app.OnReceive(at, s1);
   Synopsis s2;
   {
     auto g = app.EnterFrame(at, af);
-    s2 = app.PrepareSend(at);
+    s2 = dep.synopsis_table().Materialize(app.PrepareSend(at));
   }
   db.OnReceive(dt, s2);
   db.ChargeCpu(dt, 300);
@@ -255,12 +255,12 @@ TEST(StageProfilerTest, SharedMemoryAdoption) {
   }
   // The worker's samples are in a CCT labeled by the producer's
   // context, not the origin CCT.
-  const Synopsis& label = prof.SynopsisOfCtxtId(produce_ctxt);
+  const context::SynopsisId label = prof.SynopsisOfCtxtId(produce_ctxt);
   const auto* cct = prof.FindCct(label);
   ASSERT_NE(cct, nullptr);
   EXPECT_EQ(cct->TotalCpuTime(), 900);
   // And the label describes the listener's call path at the push.
-  std::string desc = dep.DescribeSynopsis(label);
+  std::string desc = dep.DescribeSynopsis(dep.synopsis_table().Materialize(label));
   EXPECT_NE(desc.find("apr_socket_accept>ap_queue_push"), std::string::npos);
 }
 
@@ -299,7 +299,7 @@ TEST(StitcherTest, RecoversRequestEdges) {
   Synopsis req;
   {
     auto g = caller.EnterFrame(ct, foo);
-    req = caller.PrepareSend(ct);
+    req = dep.synopsis_table().Materialize(caller.PrepareSend(ct));
   }
   callee.OnReceive(st, req);
   callee.ChargeCpu(st, 200);
