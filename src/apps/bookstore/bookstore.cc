@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/apps/harness.h"
@@ -33,15 +34,17 @@ using workload::TpcwTransaction;
 struct DbReply {
   SynopsisId syn = context::kEmptySynopsis;
 };
+// Trivially copyable: the query is a pointer to its static plan plus
+// the rows this request drew.
 struct DbRequest {
   TpcwTransaction type;  // ground-truth accounting only
   db::Query query;
-  uint64_t rows_touched = 0;
   SynopsisId syn = context::kEmptySynopsis;
   uint64_t txn = 0;      // live-observability transaction id
   int64_t sent_ns = 0;   // send stamp; receiver derives queue wait
   sim::Channel<DbReply>* reply = nullptr;
 };
+static_assert(std::is_trivially_copyable_v<DbRequest>);
 struct TomcatReply {
   uint64_t body_bytes = 0;
   SynopsisId syn = context::kEmptySynopsis;
@@ -66,14 +69,6 @@ struct ProxyRequest {
 constexpr uint64_t kRequestBytes = 600;
 constexpr uint64_t kPageBytes = 8 * 1024;
 constexpr uint64_t kImageBytes = 5 * 1024;
-
-uint64_t RowsTouched(const db::Query& query) {
-  uint64_t rows = 0;
-  for (const auto& step : query.steps) {
-    rows += step.rows_touched;
-  }
-  return rows;
-}
 
 class Bookstore {
  public:
@@ -253,7 +248,6 @@ class Bookstore {
             DbRequest dreq;
             dreq.type = req->type;
             dreq.query = workload::TpcwQuery(req->type, *tomcat_rngs_[static_cast<size_t>(index)]);
-            dreq.rows_touched = RowsTouched(dreq.query);
             dreq.txn = req->txn;
             dreq.reply = &reply_ch;
             dreq.syn = tomcat_.PrepareSend(tp);
@@ -315,6 +309,26 @@ class Bookstore {
     return workload::CyclesToNs(cycles);
   }
 
+  // Charges a query to the mysql stage: the fixed cost carries the
+  // query's guest-section cost, and every plan step runs in its own
+  // call-path frame (row_scan, sort_records, ...).
+  struct DbHooks final : db::ExecHooks {
+    Bookstore& app;
+    ThreadProfile& tp;
+    sim::SimTime guest_cost;
+
+    DbHooks(Bookstore& a, ThreadProfile& t, sim::SimTime guest)
+        : app(a), tp(t), guest_cost(guest) {}
+    sim::SimTime Charge(sim::SimTime c) override {
+      return app.mysql_.ChargeCpu(tp, c + guest_cost);
+    }
+    sim::SimTime ChargeStep(const db::QueryStep& step, sim::SimTime c) override {
+      auto frame = app.mysql_.EnterFrame(tp, app.step_fns_[static_cast<size_t>(step.kind)]);
+      return app.mysql_.ChargeCpu(tp, c);
+    }
+    void LockWait(sim::SimTime wait_ns) override { app.mysql_.LiveLockWait(tp, wait_ns); }
+  };
+
   sim::Process DbWorker(int index) {
     ThreadProfile& tp = *mysql_tps_[static_cast<size_t>(index)];
     for (;;) {
@@ -331,7 +345,7 @@ class Bookstore {
         auto f1 = mysql_.EnterFrame(tp, execute_fn_);
         // Row handlers, comparisons, copies, index probes: gprof pays
         // mcount for each of these internal calls.
-        mysql_.NoteInternalCalls(tp, req->rows_touched * 5);
+        mysql_.NoteInternalCalls(tp, req->query.plan->rows_touched() * 5);
         const uint64_t tag = mysql_.CrosstalkTag(tp);
         if (daemon_ != nullptr && mysql_.IsSampled(tp)) {
           // Crosstalk tags resolve to TPC-W interaction names in the
@@ -343,25 +357,18 @@ class Bookstore {
         // query's CPU charge rather than a separate scheduler pass.
         bool writes = false;
         uint64_t row = 0;
-        for (const auto& step : req->query.steps) {
-          if (step.kind == db::QueryStep::Kind::kUpdateRow) {
+        const auto steps = req->query.plan->steps();
+        for (size_t i = 0; i < steps.size(); ++i) {
+          if (steps[i].kind == db::QueryStep::Kind::kUpdateRow) {
             writes = true;
-            row = step.row;
+            row = req->query.rows[i];
           }
         }
-        const sim::SimTime guest_cost = RunDbGuestOps(index, writes, row);
         // Per-step frames: sorts, scans etc. appear as their own
         // procedures in the CCT, so the §1 "who causes the sort?"
         // query has something to point at.
-        const sim::SimTime raw = co_await database_.Execute(
-            req->query, tag,
-            [&](sim::SimTime c) { return mysql_.ChargeCpu(tp, c + guest_cost); },
-            [&](const db::QueryStep& step, sim::SimTime c) {
-              auto frame =
-                  mysql_.EnterFrame(tp, step_fns_[static_cast<size_t>(step.kind)]);
-              return mysql_.ChargeCpu(tp, c);
-            },
-            [&](sim::SimTime wait_ns) { mysql_.LiveLockWait(tp, wait_ns); });
+        DbHooks hooks(*this, tp, RunDbGuestOps(index, writes, row));
+        const sim::SimTime raw = co_await database_.Execute(req->query, tag, &hooks);
         if (sched_.now() >= options_.warmup && sched_.now() <= options_.duration) {
           db_cpu_ground_[static_cast<size_t>(req->type)] += raw;
         }
@@ -501,7 +508,7 @@ class Bookstore {
   shm::SectionCache section_cache_;
   vm::Memory guest_mem_;
   vm::Program table_read_prog_, table_write_prog_, counter_prog_;
-  std::map<vm::ThreadId, vm::CpuState> guest_cpus_;
+  std::vector<vm::CpuState> guest_cpus_;  // indexed by vm::ThreadId (mysql worker)
 
   std::map<std::pair<TpcwTransaction, uint32_t>, sim::SimTime> result_cache_;
   std::array<util::SampleSet, workload::kTpcwTransactionCount> response_ms_;
@@ -544,6 +551,7 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
   for (int i = 0; i < options_.db_workers; ++i) {
     mysql_tps_.push_back(&mysql_.CreateThread("mysql_w" + std::to_string(i)));
   }
+  guest_cpus_.resize(mysql_tps_.size());
   for (int i = 0; i < options_.proxy_workers; ++i) {
     sim::Spawn(sched_, ProxyWorker(i));
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
 #include "src/util/rng.h"
+#include "src/util/slot_table.h"
 #include "src/vm/interpreter.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
@@ -39,8 +41,11 @@ constexpr int kPoolBlocks = 64;
 // Per-worker scratch addresses for ap_queue_pop's out parameters.
 constexpr uint64_t kScratchBase = 0x20000;
 
+// One accepted connection, from the client's draw to the worker's last
+// request. Records are recycled through a SlotTable, so `objects`
+// keeps its capacity from one connection to the next.
 struct Connection {
-  uint32_t client;
+  uint32_t client = 0;
   std::vector<uint32_t> objects;
   uint64_t txn = 0;  // live-observability transaction id
   // The listener's per-connection sampling decision, carried to the
@@ -123,6 +128,12 @@ class Server {
     });
   }
 
+  // One register a guest section's caller sets before entering it.
+  struct RegValue {
+    int reg;
+    uint64_t value;
+  };
+
   // Runs a guest critical section for simulated thread `t`, returning
   // the virtual CPU time it costs. Whodunit emulates critical sections
   // whose lock still might carry transaction flow; everything else
@@ -131,10 +142,10 @@ class Server {
   // unsampled section runs directly (no detector, no flow summary),
   // exactly like a non-transactional profiling mode would run it.
   sim::SimTime RunGuest(const vm::Program& prog, vm::ThreadId t, uint64_t lock_id,
-                        const std::map<int, uint64_t>& regs, bool sampled = true) {
+                        std::initializer_list<RegValue> regs, bool sampled = true) {
     vm::CpuState& cpu_state = guest_cpus_[t];
-    for (const auto& [r, v] : regs) {
-      cpu_state.regs[static_cast<size_t>(r)] = v;
+    for (const RegValue& r : regs) {
+      cpu_state.regs[static_cast<size_t>(r.reg)] = r.value;
     }
     const bool emulate =
         TracksTransactions(options_.mode) && sampled && detector_.ShouldEmulate(lock_id);
@@ -158,10 +169,11 @@ class Server {
     const auto push_fn = prof_.RegisterFunction("ap_queue_push");
     auto main_frame = std::make_unique<StageProfiler::FrameGuard>(prof_, tp, main_fn);
     for (;;) {
-      auto conn = co_await accept_ch_.Receive();
-      if (!conn) {
+      auto slot = co_await accept_ch_.Receive();
+      if (!slot) {
         break;
       }
+      Connection* conn = &conns_[*slot];
       // Each accepted connection begins a fresh transaction.
       prof_.ResetTransaction(tp);
       conn->sampled = prof_.IsSampled(tp);
@@ -184,7 +196,10 @@ class Server {
       {
         auto f = prof_.EnterFrame(tp, push_fn);
         co_await queue_mutex_.Acquire(/*tag=*/0);
-        const uint64_t handle = StashConnection(*conn);
+        // The VM queue carries the connection's slot as Apache's queue
+        // carries an fd; the record itself stays in conns_.
+        const uint64_t handle = *slot;
+        conn->enqueued_ns = sched_.now();
         const sim::SimTime cost =
             RunGuest(push_prog_, /*t=*/0, queue_mutex_.id(),
                      {{0, kQueueBase}, {1, handle}, {2, handle + 1}}, conn->sampled);
@@ -199,14 +214,16 @@ class Server {
     main_frame.reset();
   }
 
-  // The VM queue carries a small integer handle; connection metadata
-  // lives beside it (as Apache's fd + pool pointers reference heap
-  // state).
-  uint64_t StashConnection(const Connection& conn) {
-    const uint64_t handle = next_handle_++;
-    in_flight_[handle] = conn;
-    in_flight_[handle].enqueued_ns = sched_.now();
-    return handle;
+  // A recycled connection record for `client`, with no objects yet.
+  uint32_t NewConnection(uint32_t client) {
+    const uint32_t slot = conns_.Acquire();
+    Connection& conn = conns_[slot];
+    conn.client = client;
+    conn.objects.clear();
+    conn.txn = 0;
+    conn.sampled = true;
+    conn.enqueued_ns = 0;
+    return slot;
   }
 
   sim::Process Worker(int index) {
@@ -224,7 +241,7 @@ class Server {
       if (!token) {
         break;
       }
-      uint64_t handle = 0;
+      uint32_t slot = 0;
       {
         auto f = prof_.EnterFrame(tp, pop_fn);
         co_await queue_mutex_.Acquire(/*tag=*/0);
@@ -240,14 +257,9 @@ class Server {
         // worker now executes under the listener's transaction context.
         co_await cpu_.Consume(prof_.ChargeCpu(tp, cost));
         queue_mutex_.Release(0);
-        handle = guest_cpus_[vm_thread].regs[7];
+        slot = static_cast<uint32_t>(guest_cpus_[vm_thread].regs[7]);
       }
-      auto conn_it = in_flight_.find(handle);
-      if (conn_it == in_flight_.end()) {
-        continue;
-      }
-      const Connection conn = conn_it->second;
-      in_flight_.erase(conn_it);
+      const Connection& conn = conns_[slot];
       if (conn.sampled) {
         --sampled_in_queue_;
       }
@@ -298,18 +310,19 @@ class Server {
       if (conn.client != kOpenLoopClient) {
         client_done_[conn.client]->Send(1);
       }
+      conns_.Release(slot);
     }
   }
 
   sim::Task<void> RunAllocatorOp(ThreadProfile& tp, vm::ThreadId vm_thread,
                                  const vm::Program& prog, uint64_t blk) {
     co_await alloc_mutex_.Acquire(0);
-    std::map<int, uint64_t> regs{{0, kFreeListHead}};
-    if (blk != 0) {
-      regs[1] = blk;
-    }
+    // A free passes the block in r1; an alloc leaves r1 as it was.
+    const bool sampled = prof_.IsSampled(tp);
     const sim::SimTime cost =
-        RunGuest(prog, vm_thread, alloc_mutex_.id(), regs, prof_.IsSampled(tp));
+        blk != 0 ? RunGuest(prog, vm_thread, alloc_mutex_.id(),
+                            {{0, kFreeListHead}, {1, blk}}, sampled)
+                 : RunGuest(prog, vm_thread, alloc_mutex_.id(), {{0, kFreeListHead}}, sampled);
     co_await cpu_.Consume(prof_.ChargeCpu(tp, cost));
     alloc_mutex_.Release(0);
   }
@@ -328,11 +341,10 @@ class Server {
       if (sched_.now() >= options_.duration) {
         break;
       }
-      Connection conn;
-      conn.client = kOpenLoopClient;
-      conn.objects = trace_.DrawConnection(draw);
+      const uint32_t slot = NewConnection(kOpenLoopClient);
+      trace_.DrawConnection(draw, conns_[slot].objects);
       ++connections_;
-      accept_ch_.Send(std::move(conn));
+      accept_ch_.Send(slot);
     }
   }
 
@@ -342,18 +354,14 @@ class Server {
       if (sched_.now() >= options_.duration) {
         break;
       }
-      Connection conn;
-      conn.client = index;
-      if (options_.persistent_connections) {
-        // One connection for the whole run: many requests, no churn.
-        for (int i = 0; i < 50000; ++i) {
-          const auto piece = trace_.DrawConnection(rng);
-          conn.objects.insert(conn.objects.end(), piece.begin(), piece.end());
-        }
-      } else {
-        conn.objects = trace_.DrawConnection(rng);
+      const uint32_t slot = NewConnection(index);
+      // A persistent connection lasts the whole run: many requests, no
+      // churn.
+      const int draws = options_.persistent_connections ? 50000 : 1;
+      for (int i = 0; i < draws; ++i) {
+        trace_.DrawConnection(rng, conns_[slot].objects);
       }
-      accept_ch_.Send(std::move(conn));
+      accept_ch_.Send(slot);
       auto done = co_await client_done_[index]->Receive();
       if (!done) {
         break;
@@ -375,7 +383,7 @@ class Server {
   sim::SimMutex alloc_mutex_;
   sim::SimMutex stats_mutex_;
   sim::Channel<uint8_t> items_;
-  sim::Channel<Connection> accept_ch_;
+  sim::Channel<uint32_t> accept_ch_;  // slots in conns_
   workload::WebTrace trace_;
   std::unique_ptr<obs::live::Whodunitd> daemon_;
   // Connection-type names pre-interned against the daemon's symbol
@@ -384,11 +392,10 @@ class Server {
   obs::live::SymId conn_large_sym_ = 0;
 
   vm::Program push_prog_, pop_prog_, alloc_prog_, free_prog_, counter_prog_;
-  std::map<vm::ThreadId, vm::CpuState> guest_cpus_;
+  std::vector<vm::CpuState> guest_cpus_;  // indexed by vm::ThreadId
   std::vector<ThreadProfile*> thread_profiles_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;
-  std::map<uint64_t, Connection> in_flight_;
-  uint64_t next_handle_ = 1;
+  util::SlotTable<Connection> conns_;
   // Sampled connections currently queued; gates the pop emulation.
   uint64_t sampled_in_queue_ = 0;
 
@@ -406,6 +413,7 @@ MinihttpdResult Server::Run(profiler::ShardProfile* out_profile) {
   for (int w = 0; w < options_.workers; ++w) {
     thread_profiles_.push_back(&prof_.CreateThread("worker_" + std::to_string(w)));
   }
+  guest_cpus_.resize(thread_profiles_.size());
   sim::Spawn(sched_, Listener());
   for (int w = 0; w < options_.workers; ++w) {
     sim::Spawn(sched_, Worker(w));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "src/sim/task.h"
 #include "src/util/lru_cache.h"
 #include "src/util/rng.h"
+#include "src/util/slot_table.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
 #include "src/workload/webtrace.h"
@@ -26,13 +26,8 @@ using events::EventLoop;
 using profiler::StageProfiler;
 using profiler::ThreadProfile;
 
-struct ClientConn {
-  uint32_t client;
-  std::vector<uint32_t> objects;  // one per request
-};
-
 struct OriginRequest {
-  uint64_t req_handle;
+  uint32_t req_slot;
   uint32_t object;
 };
 
@@ -86,12 +81,30 @@ class Proxy {
     co_await proxy_cpu_.Consume(prof_.ChargeCpu(*loop_tp_, cost));
   }
 
+  // One client connection, from its draw to its last write. Records
+  // are recycled through a SlotTable, so `objects` keeps its capacity;
+  // the slot is every event's payload.
   struct ReqState {
-    uint32_t client;
+    uint32_t client = 0;
     uint32_t object = 0;
-    std::vector<uint32_t> objects;
+    std::vector<uint32_t> objects;  // one per request
     size_t next_index = 0;
+    // The httpReadReply event commConnectHandle armed; posted when the
+    // origin's reply arrives.
+    events::Event reply{};
   };
+
+  ReqState& Req(uint64_t payload) { return requests_[static_cast<uint32_t>(payload)]; }
+
+  // A recycled request record for `client`, its objects drawn from `rng`.
+  uint32_t NewConnection(uint32_t client, util::Rng& rng) {
+    const uint32_t slot = requests_.Acquire();
+    ReqState& st = requests_[slot];
+    st.client = client;
+    st.objects.clear();
+    trace_.DrawConnection(rng, st.objects);
+    return slot;
+  }
 
   void RegisterHandlers() {
     accept_h_ = loop_.RegisterHandler(
@@ -102,7 +115,7 @@ class Proxy {
 
     read_h_ = loop_.RegisterHandler(
         "clientReadRequest", [this](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-          ReqState& st = requests_.at(hc.payload);
+          ReqState& st = Req(hc.payload);
           co_await Charge(workload::kHttpParseCost + workload::kCacheLookupCost +
                           TrackingCost());
           if (cache_.Lookup(st.object)) {
@@ -116,18 +129,17 @@ class Proxy {
 
     connect_h_ = loop_.RegisterHandler(
         "commConnectHandle", [this](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-          ReqState& st = requests_.at(hc.payload);
+          ReqState& st = Req(hc.payload);
           co_await Charge(sim::Micros(40) + TrackingCost());
           // Register interest in the origin's reply NOW (this is where
           // the transaction context is captured), then fire the I/O.
-          events::Event ev = hc.loop.MakeEvent(reply_h_, hc.payload);
-          pending_replies_.emplace(hc.payload, std::move(ev));
-          origin_ch_.Send(OriginRequest{hc.payload, st.object});
+          st.reply = hc.loop.MakeEvent(reply_h_, hc.payload);
+          origin_ch_.Send(OriginRequest{static_cast<uint32_t>(hc.payload), st.object});
         });
 
     reply_h_ = loop_.RegisterHandler(
         "httpReadReply", [this](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-          ReqState& st = requests_.at(hc.payload);
+          ReqState& st = Req(hc.payload);
           const uint64_t bytes = trace_.ObjectBytes(st.object);
           co_await Charge(static_cast<sim::SimTime>(static_cast<double>(bytes) *
                                                     workload::kProxyNsPerByte / 2) +
@@ -138,7 +150,7 @@ class Proxy {
 
     write_h_ = loop_.RegisterHandler(
         "commHandleWrite", [this](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-          ReqState& st = requests_.at(hc.payload);
+          ReqState& st = Req(hc.payload);
           const uint64_t bytes = trace_.ObjectBytes(st.object);
           co_await Charge(static_cast<sim::SimTime>(static_cast<double>(bytes) *
                                                     workload::kProxyNsPerByte) +
@@ -155,7 +167,7 @@ class Proxy {
             if (st.client != kOpenLoopClient) {
               client_done_[st.client]->Send(1);
             }
-            requests_.erase(hc.payload);
+            requests_.Release(static_cast<uint32_t>(hc.payload));
           }
           co_return;
         });
@@ -163,23 +175,19 @@ class Proxy {
 
   sim::Process AcceptPump() {
     for (;;) {
-      auto conn = co_await accept_ch_.Receive();
-      if (!conn) {
+      auto slot = co_await accept_ch_.Receive();
+      if (!slot) {
         break;
       }
-      const uint64_t handle = next_handle_++;
-      ReqState st;
-      st.client = conn->client;
-      st.objects = std::move(conn->objects);
+      ReqState& st = requests_[*slot];
       st.object = st.objects.empty() ? 0 : st.objects[0];
       st.next_index = 1;
-      requests_.emplace(handle, std::move(st));
       // The sampling decision is drawn once per connection, here at
       // the transaction's origin; it rides on every event the
       // connection spawns.
       const bool sampled =
           !TracksTransactions(options_.mode) || dep_.sampling().Decide();
-      loop_.AddExternalEvent(accept_h_, handle, sampled);
+      loop_.AddExternalEvent(accept_h_, *slot, sampled);
     }
   }
 
@@ -200,11 +208,7 @@ class Proxy {
         static_cast<sim::SimTime>(static_cast<double>(bytes) * 2.0));
     // Network latency back to the proxy, then fire the armed event.
     co_await sim::Delay{sched_, workload::kLanLatency};
-    auto it = pending_replies_.find(req.req_handle);
-    if (it != pending_replies_.end()) {
-      loop_.Post(std::move(it->second));
-      pending_replies_.erase(it);
-    }
+    loop_.Post(requests_[req.req_slot].reply);
   }
 
   sim::Process Client(uint32_t index, uint64_t seed) {
@@ -213,10 +217,7 @@ class Proxy {
       if (sched_.now() >= options_.duration) {
         break;
       }
-      ClientConn conn;
-      conn.client = index;
-      conn.objects = trace_.DrawConnection(rng);
-      accept_ch_.Send(std::move(conn));
+      accept_ch_.Send(NewConnection(index, rng));
       auto done = co_await client_done_[index]->Receive();
       if (!done) {
         break;
@@ -236,10 +237,7 @@ class Proxy {
       if (sched_.now() >= options_.duration) {
         break;
       }
-      ClientConn conn;
-      conn.client = kOpenLoopClient;
-      conn.objects = trace_.DrawConnection(draw);
-      accept_ch_.Send(std::move(conn));
+      accept_ch_.Send(NewConnection(kOpenLoopClient, draw));
     }
   }
 
@@ -252,15 +250,13 @@ class Proxy {
   StageProfiler prof_;
   ThreadProfile* loop_tp_ = nullptr;
   sim::Channel<OriginRequest> origin_ch_;
-  sim::Channel<ClientConn> accept_ch_;
+  sim::Channel<uint32_t> accept_ch_;  // slots in requests_
   util::LruCache cache_;
   workload::WebTrace trace_;
 
   events::HandlerId accept_h_ = 0, read_h_ = 0, connect_h_ = 0, reply_h_ = 0, write_h_ = 0;
-  std::map<uint64_t, ReqState> requests_;
-  std::map<uint64_t, events::Event> pending_replies_;
+  util::SlotTable<ReqState> requests_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;
-  uint64_t next_handle_ = 1;
 
   uint64_t bytes_served_ = 0;
   uint64_t requests_served_ = 0;

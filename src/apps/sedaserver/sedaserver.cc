@@ -12,6 +12,7 @@
 #include "src/sim/cpu.h"
 #include "src/util/lru_cache.h"
 #include "src/util/rng.h"
+#include "src/util/slot_table.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
 #include "src/workload/webtrace.h"
@@ -25,8 +26,11 @@ using profiler::ThreadProfile;
 using seda::StageGraph;
 using seda::StageId;
 
+// One client connection, from its draw to its last write. Records are
+// recycled through a SlotTable, so `objects` keeps its capacity; the
+// slot is every queue element's payload.
 struct ReqState {
-  uint32_t client;
+  uint32_t client = 0;
   uint32_t object = 0;
   std::vector<uint32_t> objects;
   size_t next_index = 0;
@@ -93,10 +97,8 @@ class Haboob {
   // Each SEDA stage gets its own track in the live daemon, so the
   // transaction's spans are opened/closed against the stage's name
   // directly rather than through StageProfiler's (single) stage name.
-  uint64_t TxnOf(uint64_t handle) const {
-    auto it = requests_.find(handle);
-    return it == requests_.end() ? 0 : it->second.txn;
-  }
+  ReqState& Req(uint64_t payload) { return requests_[static_cast<uint32_t>(payload)]; }
+  uint64_t TxnOf(uint64_t payload) { return Req(payload).txn; }
   void LiveJoinStage(const StageGraph::WorkerContext& wc) {
     if (daemon_ != nullptr) {
       daemon_->JoinSpan(TxnOf(wc.payload), stage_syms_[wc.stage], /*link=*/0,
@@ -112,7 +114,7 @@ class Haboob {
   void BuildStages() {
     listen_ = graph_.AddStage("ListenStage", 1, [this](auto& wc) -> sim::Task<void> {
       if (daemon_ != nullptr && wc.sampled) {
-        ReqState& st = requests_.at(wc.payload);
+        ReqState& st = Req(wc.payload);
         st.txn = daemon_->BeginTxn(stage_syms_[listen_], http_request_sym_, daemon_->now());
       }
       co_await Charge(wc, workload::kAcceptCost);
@@ -143,7 +145,7 @@ class Haboob {
     cache_ = graph_.AddStage("CacheStage", options_.workers_per_stage,
                              [this](auto& wc) -> sim::Task<void> {
                                LiveJoinStage(wc);
-                               ReqState& st = requests_.at(wc.payload);
+                               ReqState& st = Req(wc.payload);
                                co_await Charge(wc, workload::kCacheLookupCost);
                                const bool hit = object_cache_.Lookup(st.object);
                                if (daemon_ != nullptr) {
@@ -171,7 +173,7 @@ class Haboob {
     file_io_ = graph_.AddStage("FileIoStage", options_.workers_per_stage,
                                [this](auto& wc) -> sim::Task<void> {
                                  LiveJoinStage(wc);
-                                 ReqState& st = requests_.at(wc.payload);
+                                 ReqState& st = Req(wc.payload);
                                  // Disk read, then populate the cache.
                                  co_await sim::Delay{sched_, sim::Micros(400)};
                                  const uint64_t bytes = trace_.ObjectBytes(st.object);
@@ -185,7 +187,7 @@ class Haboob {
     write_ = graph_.AddStage("WriteStage", options_.workers_per_stage,
                              [this](auto& wc) -> sim::Task<void> {
                                LiveJoinStage(wc);
-                               ReqState& st = requests_.at(wc.payload);
+                               ReqState& st = Req(wc.payload);
                                const uint64_t bytes = trace_.ObjectBytes(st.object);
                                co_await Charge(
                                    wc, static_cast<sim::SimTime>(static_cast<double>(bytes) *
@@ -201,7 +203,7 @@ class Haboob {
                                  if (st.client != kOpenLoopClient) {
                                    client_done_[st.client]->Send(1);
                                  }
-                                 requests_.erase(wc.payload);
+                                 requests_.Release(static_cast<uint32_t>(wc.payload));
                                  if (daemon_ != nullptr) {
                                    // Closes the write span too.
                                    daemon_->CompleteTxn(txn, daemon_->now());
@@ -228,14 +230,15 @@ class Haboob {
 
   // Draws one connection's requests and queues it for ListenStage.
   void Inject(uint32_t client, util::Rng& rng) {
-    const uint64_t handle = next_handle_++;
-    ReqState st;
+    const uint32_t slot = requests_.Acquire();
+    ReqState& st = requests_[slot];
     st.client = client;
-    st.objects = trace_.DrawConnection(rng);
+    st.objects.clear();
+    trace_.DrawConnection(rng, st.objects);
     st.object = st.objects[0];
     st.next_index = 1;
-    requests_.emplace(handle, std::move(st));
-    accept_ch_.Send(handle);
+    st.txn = 0;
+    accept_ch_.Send(slot);
   }
 
   sim::Process Client(uint32_t index, uint64_t seed) {
@@ -274,7 +277,7 @@ class Haboob {
   StageGraph graph_;
   profiler::Deployment dep_;
   StageProfiler prof_;
-  sim::Channel<uint64_t> accept_ch_;
+  sim::Channel<uint64_t> accept_ch_;  // slots in requests_
   workload::WebTrace trace_;
   std::unique_ptr<obs::live::Whodunitd> daemon_;
 
@@ -288,10 +291,9 @@ class Haboob {
   obs::live::SymId cache_hit_sym_ = 0;
   obs::live::SymId cache_miss_sym_ = 0;
   std::map<StageId, std::vector<ThreadProfile*>> worker_tps_;
-  std::map<uint64_t, ReqState> requests_;
+  util::SlotTable<ReqState> requests_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;
   util::LruCache object_cache_{workload::kProxyCacheObjects};
-  uint64_t next_handle_ = 1;
 
   uint64_t bytes_served_ = 0;
   uint64_t requests_served_ = 0;

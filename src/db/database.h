@@ -18,17 +18,23 @@
 #ifndef SRC_DB_DATABASE_H_
 #define SRC_DB_DATABASE_H_
 
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/cpu.h"
 #include "src/sim/lock.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
+#include "src/util/rng.h"
 
 namespace whodunit::db {
 
@@ -37,11 +43,17 @@ enum class LockGranularity {
   kRowLocks,    // InnoDB
 };
 
+// A table's dense id: the order of its Database::CreateTable call.
+using TableId = uint8_t;
+// The table of a pure CPU step (sort / temp table).
+inline constexpr TableId kNoTable = 0xFF;
+
 class Table {
  public:
-  Table(sim::Scheduler& sched, std::string name, uint64_t rows, LockGranularity granularity,
-        int row_stripes = 16);
+  Table(sim::Scheduler& sched, TableId id, std::string name, uint64_t rows,
+        LockGranularity granularity, int row_stripes = 16);
 
+  TableId id() const { return id_; }
   const std::string& name() const { return name_; }
   uint64_t rows() const { return rows_; }
   LockGranularity granularity() const { return granularity_; }
@@ -53,6 +65,7 @@ class Table {
   void SetLockObserver(sim::LockObserver* observer);
 
  private:
+  TableId id_;
   std::string name_;
   uint64_t rows_;
   LockGranularity granularity_;
@@ -70,14 +83,79 @@ struct QueryStep {
     kUpdateRow,  // write one row (exclusive access on table or row)
   };
   Kind kind;
-  std::string table;
+  TableId table = kNoTable;
   uint64_t rows_touched = 1;
-  uint64_t row = 0;  // for kUpdateRow / kPointRead
+  // kPointRead / kUpdateRow: each execution touches one row drawn
+  // uniformly from [0, row_domain) by QueryPlan::Bind; 0 pins row 0.
+  uint64_t row_domain = 0;
 };
 
+inline constexpr size_t kMaxPlanSteps = 6;
+
+class QueryPlan;
+
+// One execution of a plan: the plan and the row each of its point
+// reads and updates touches. Trivially copyable, so a request message
+// carries it by value without touching the heap.
 struct Query {
-  std::string name;
-  std::vector<QueryStep> steps;
+  const QueryPlan* plan = nullptr;
+  // Indexed by step; steps that touch no single row ignore theirs.
+  std::array<uint32_t, kMaxPlanSteps> rows{};
+};
+static_assert(std::is_trivially_copyable_v<Query>);
+
+// A query's static plan: its name and steps, built once and shared by
+// every execution.
+class QueryPlan {
+ public:
+  constexpr QueryPlan(std::string_view name, std::initializer_list<QueryStep> steps)
+      : name_(name), count_(steps.size()) {
+    assert(steps.size() <= kMaxPlanSteps && "plan has too many steps");
+    size_t i = 0;
+    for (const QueryStep& step : steps) {
+      steps_[i++] = step;
+      rows_touched_ += step.rows_touched;
+    }
+  }
+
+  std::string_view name() const { return name_; }
+  std::span<const QueryStep> steps() const { return {steps_.data(), count_}; }
+  // Sum of rows_touched over the steps.
+  uint64_t rows_touched() const { return rows_touched_; }
+
+  // An execution of this plan, drawing each row-domain step's row
+  // from `rng` in step order.
+  Query Bind(util::Rng& rng) const;
+
+ private:
+  std::string_view name_;
+  std::array<QueryStep, kMaxPlanSteps> steps_{};
+  size_t count_ = 0;
+  uint64_t rows_touched_ = 0;
+};
+
+// Callbacks of one Database::Execute. The defaults charge raw costs;
+// an override lives in the caller's coroutine frame, so binding the
+// hooks never allocates.
+class ExecHooks {
+ public:
+  virtual ~ExecHooks() = default;
+  // Maps a raw CPU cost to the cost actually consumed (the profiler's
+  // overhead hook). The per-query fixed cost always goes through here.
+  virtual sim::SimTime Charge(sim::SimTime raw) { return raw; }
+  // Invoked once per plan step with the step and its raw cost; returns
+  // the cost to consume (Charge unless overridden). Lets the profiler
+  // attribute CPU to per-step call-path frames (row_scan,
+  // sort_records, ...) — the paper's §1 example of blaming the
+  // database sort routine.
+  virtual sim::SimTime ChargeStep(const QueryStep& step, sim::SimTime raw) {
+    (void)step;
+    return Charge(raw);
+  }
+  // Invoked with the virtual time the plan spent blocked acquiring its
+  // lock set (only when > 0) — the kLockWait attribution feed
+  // (docs/OBSERVABILITY.md).
+  virtual void LockWait(sim::SimTime wait) { (void)wait; }
 };
 
 // Cost model constants (per step kind); see workload/calibration.h for
@@ -98,22 +176,12 @@ struct CostModel {
 
 class Database {
  public:
-  // charge_cpu: maps raw CPU cost to the cost actually consumed (the
-  // profiler's overhead hook); identity by default.
-  using ChargeHook = std::function<sim::SimTime(sim::SimTime)>;
-  // Per-step hook: invoked once per plan step with the step and its
-  // raw cost; returns the cost to consume. Lets the profiler attribute
-  // CPU to per-step call-path frames (row_scan, sort_records, ...) —
-  // the paper's §1 example of blaming the database sort routine.
-  using StepHook = std::function<sim::SimTime(const QueryStep&, sim::SimTime)>;
-  // Invoked with the virtual time the plan spent blocked acquiring its
-  // lock set (only when > 0) — the kLockWait attribution feed
-  // (docs/OBSERVABILITY.md).
-  using LockWaitHook = std::function<void(sim::SimTime)>;
-
   Database(sim::Scheduler& sched, sim::CpuResource& cpu, CostModel costs);
 
+  // Creates a table; its id is the number of tables created before it.
   Table& CreateTable(std::string_view name, uint64_t rows, LockGranularity granularity);
+  Table& table(TableId id) { return *tables_[id]; }
+  // Lookup by name (set-up and tests; the query path uses ids).
   Table& table(std::string_view name);
   bool HasTable(std::string_view name) const;
 
@@ -121,23 +189,22 @@ class Database {
   void SetLockObserver(sim::LockObserver* observer);
 
   // Executes a query on behalf of transaction type `tag` (the
-  // crosstalk tag). Acquires the locks the plan needs, performs the
-  // plan's disk I/O, charges the CPU resource (through `charge` if
-  // provided), releases, and co_returns the raw (pre-overhead) CPU
-  // cost consumed.
+  // crosstalk tag). Acquires the locks the plan needs — per table, in
+  // table-name order — performs the plan's disk I/O, charges the CPU
+  // resource (through `hooks` if provided), releases, and co_returns
+  // the raw (pre-overhead) CPU cost consumed. `query` and `hooks` must
+  // outlive the returned task.
   sim::Task<sim::SimTime> Execute(const Query& query, uint64_t tag,
-                                  const ChargeHook& charge = nullptr,
-                                  const StepHook& step_hook = nullptr,
-                                  const LockWaitHook& lock_wait = nullptr);
+                                  ExecHooks* hooks = nullptr);
 
   // Raw CPU cost of one plan step.
   sim::SimTime StepCost(const QueryStep& step) const;
 
   // Pure cost estimation (no locks, no CPU): used by tests and for
   // calibration reporting.
-  sim::SimTime EstimateCost(const Query& query) const;
+  sim::SimTime EstimateCost(const QueryPlan& plan) const;
   // Disk wait the plan incurs while holding its locks.
-  sim::SimTime EstimateDiskTime(const Query& query) const;
+  sim::SimTime EstimateDiskTime(const QueryPlan& plan) const;
 
   uint64_t queries_executed() const { return queries_executed_; }
   const CostModel& costs() const { return costs_; }
@@ -146,7 +213,10 @@ class Database {
   sim::Scheduler& sched_;
   sim::CpuResource& cpu_;
   CostModel costs_;
-  std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
+  std::vector<std::unique_ptr<Table>> tables_;  // indexed by TableId
+  // Each table's position in name order, indexed by TableId: the
+  // deadlock-free order Execute acquires table locks in.
+  std::vector<uint8_t> name_rank_;
   uint64_t queries_executed_ = 0;
 };
 

@@ -1,25 +1,30 @@
 #include "src/obs/trace.h"
 
-#include <utility>
-
 namespace whodunit::obs {
 
 TraceLog::TraceLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(capacity_ < 1024 ? capacity_ : 1024);
 }
 
-void TraceLog::Record(SpanRecord span) {
+void TraceLog::Record(std::string_view name, std::string_view detail, uint64_t ctxt_hash,
+                      int64_t start_ns, int64_t duration_ns) {
   if (!enabled_) {
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++recorded_;
+  SpanRecord* slot = nullptr;
   if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(span));
-    return;
+    slot = &ring_.emplace_back();
+  } else {
+    slot = &ring_[next_];
+    next_ = (next_ + 1) % capacity_;
   }
-  ring_[next_] = std::move(span);
-  next_ = (next_ + 1) % capacity_;
+  slot->name.assign(name);
+  slot->detail.assign(detail);
+  slot->ctxt_hash = ctxt_hash;
+  slot->start_ns = start_ns;
+  slot->duration_ns = duration_ns;
 }
 
 std::vector<SpanRecord> TraceLog::Snapshot() const {

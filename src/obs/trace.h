@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace whodunit::obs {
@@ -43,7 +44,11 @@ class TraceLog {
 
   static constexpr size_t kDefaultCapacity = 4096;
 
-  void Record(SpanRecord span);
+  // Appends one span. Once the ring is full the oldest slot is
+  // overwritten in place, reusing its strings' storage, so steady-state
+  // tracing makes no allocation per span.
+  void Record(std::string_view name, std::string_view detail, uint64_t ctxt_hash,
+              int64_t start_ns, int64_t duration_ns);
 
   // The buffered spans, oldest first.
   std::vector<SpanRecord> Snapshot() const;

@@ -93,12 +93,10 @@ sim::Process Stage::WorkerLoop(int worker) {
     co_await body_(wc);
     const sim::SimTime elapsed = graph_.scheduler().now() - start;
     obs_element_ns_->Observe(static_cast<uint64_t>(elapsed));
-    obs::Tracer().Record(obs::SpanRecord{"seda.element", name_,
-                                         graph_.tracking()
-                                             ? context::GlobalContextTree().HashOf(wc.curr_node)
-                                             : 0,
-                                         static_cast<int64_t>(start),
-                                         static_cast<int64_t>(elapsed)});
+    obs::Tracer().Record(
+        "seda.element", name_,
+        graph_.tracking() ? context::GlobalContextTree().HashOf(wc.curr_node) : 0,
+        static_cast<int64_t>(start), static_cast<int64_t>(elapsed));
   }
 }
 

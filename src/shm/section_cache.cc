@@ -78,8 +78,8 @@ vm::ExecResult SectionCache::RecordCold(vm::Interpreter& interp, const vm::Progr
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count();
-  obs::Tracer().Record(obs::SpanRecord{"shm.section_cache.record", program.name, 0,
-                                       /*start_ns=*/0, /*duration_ns=*/ns});
+  obs::Tracer().Record("shm.section_cache.record", program.name, 0, /*start_ns=*/0,
+                       /*duration_ns=*/ns);
 
   const bool cacheable = arch.cacheable && (det == nullptr || dict.cacheable);
   ProgramEntry& pe = table_.GetOrInsert(program.id);

@@ -14,7 +14,10 @@ LadderQueue::Rung& LadderQueue::SpawnRung(SimTime origin, SimTime limit,
   const uint64_t want = std::clamp<size_t>(events / kBucketTarget, 1, kMaxBuckets);
   // The narrowest power-of-two width that needs at most `want` buckets.
   r.shift = std::bit_width((span + want - 1) / want - 1);
-  r.buckets.resize(static_cast<size_t>(((span - 1) >> r.shift) + 1));
+  r.count = static_cast<size_t>(((span - 1) >> r.shift) + 1);
+  if (r.buckets.size() < r.count) {
+    r.buckets.resize(r.count);
+  }
   r.cur = 0;
   // The new rung is the finest tier above bottom: bottom's region now
   // ends where the rung begins.
@@ -55,10 +58,10 @@ void LadderQueue::EnsureBottom() {
   while (bottom_.empty()) {
     if (live_rungs_ > 0) {
       Rung& r = rungs_[live_rungs_ - 1];
-      while (r.cur < r.buckets.size() && r.buckets[r.cur].empty()) {
+      while (r.cur < r.count && r.buckets[r.cur].empty()) {
         ++r.cur;
       }
-      if (r.cur == r.buckets.size()) {
+      if (r.cur == r.count) {
         --live_rungs_;
         continue;
       }

@@ -70,7 +70,11 @@ class LadderQueue {
     SimTime limit = 0;   // exclusive end of covered range (routing key)
     int shift = 0;       // bucket width is 1 << shift: routing needs no divide
     size_t cur = 0;      // first bucket not yet drained
+    size_t count = 0;    // buckets in use: [0, count)
     // Drained buckets are left empty, so a recycled rung starts clean.
+    // The vector only grows: a respawn with fewer buckets keeps the
+    // rest (and their capacity) for the next wider one, so recycling
+    // rungs stops allocating once each has seen its widest spawn.
     std::vector<std::vector<EventKey>> buckets;
   };
 
@@ -142,8 +146,8 @@ inline void LadderQueue::Push(EventKey key) {
 
 inline void LadderQueue::AddToRung(Rung& r, const EventKey& key) {
   size_t idx = static_cast<size_t>((key.time - r.origin) >> r.shift);
-  if (idx >= r.buckets.size()) {
-    idx = r.buckets.size() - 1;
+  if (idx >= r.count) {
+    idx = r.count - 1;
   }
   if (idx < r.cur) {
     idx = r.cur;  // defensive: never land in a drained bucket

@@ -109,19 +109,12 @@ void SimMutex::PumpQueue() {
     return;
   }
   // Grant the front waiter; if it is shared, grant the whole adjacent
-  // shared batch.
-  const LockMode front_mode = waiters_.front().mode;
-  std::vector<Waiter> granted;
-  if (front_mode == LockMode::kExclusive) {
-    granted.push_back(waiters_.front());
+  // shared batch. Grantees leave the ring one at a time, in queue
+  // order, each before its observer call and resume.
+  const bool shared = waiters_.front().mode == LockMode::kShared;
+  do {
+    const Waiter w = waiters_.front();
     waiters_.pop_front();
-  } else {
-    while (!waiters_.empty() && waiters_.front().mode == LockMode::kShared) {
-      granted.push_back(waiters_.front());
-      waiters_.pop_front();
-    }
-  }
-  for (const Waiter& w : granted) {
     GrantTo(w.tag, w.mode);
     const SimTime wait = sched_.now() - w.enqueued_at;
     total_wait_ += wait;
@@ -129,7 +122,7 @@ void SimMutex::PumpQueue() {
       observer_->OnAcquired(*this, w.tag, w.blocking_tag, wait);
     }
     sched_.ResumeAfter(0, w.handle);
-  }
+  } while (shared && !waiters_.empty() && waiters_.front().mode == LockMode::kShared);
 }
 
 }  // namespace whodunit::sim

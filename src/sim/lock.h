@@ -11,12 +11,12 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
+#include "src/util/ring_queue.h"
 
 namespace whodunit::sim {
 
@@ -142,7 +142,9 @@ class SimMutex {
 
   std::vector<uint64_t> holders_;  // tags of current holders
   LockMode holder_mode_ = LockMode::kExclusive;
-  std::deque<Waiter> waiters_;
+  // A ring, not a deque: a contended lock's queue cycles forever, and
+  // std::deque would keep allocating chunks as it wraps.
+  util::RingQueue<Waiter> waiters_;
 
   uint64_t acquire_count_ = 0;
   uint64_t contended_count_ = 0;

@@ -33,6 +33,107 @@ constexpr std::array<MixEntry, kTpcwTransactionCount> kBrowsingMix = {{
 constexpr uint64_t kItemRows = 10000;
 constexpr uint64_t kOrderLineRows = 77000;
 
+// Table ids: the order CreateTpcwTables creates the tables in.
+enum TpcwTable : db::TableId {
+  kItem,
+  kAuthor,
+  kCustomer,
+  kAddress,
+  kOrders,
+  kOrderLine,
+  kCcXacts,
+  kShoppingCartLine,
+};
+constexpr db::TableId kCpu = db::kNoTable;
+
+// Each interaction's plan, indexed by TpcwTransaction. A row domain on
+// a point read or update makes every request draw that step's row.
+constexpr std::array<db::QueryPlan, kTpcwTransactionCount> kPlans = {{
+    // AdminConfirm: sorting of table records, a temporary table, and
+    // an UPDATE of one item row (paper §8.4). Rare but enormous, and
+    // the UPDATE is what needs an exclusive lock on `item`.
+    {"AdminConfirm",
+     {
+         {Kind::kScan, kItem, 100000},
+         {Kind::kScan, kOrderLine, 60000},
+         {Kind::kSort, kCpu, 60000},
+         {Kind::kTempTable, kCpu, 20000},
+         {Kind::kUpdateRow, kItem, 1, kItemRows},
+     }},
+    {"AdminRequest",
+     {
+         {Kind::kPointRead, kItem, 1, kItemRows},
+         {Kind::kPointRead, kAuthor, 1},
+     }},
+    // BestSellers: join of recent order_lines with item, sorted by
+    // sales — the heaviest read query (paper: 51.5% of MySQL CPU).
+    {"BestSellers",
+     {
+         {Kind::kScan, kOrderLine, 60000},
+         {Kind::kScan, kItem, 40000},
+         {Kind::kSort, kCpu, 33000},
+         {Kind::kTempTable, kCpu, 3000},
+     }},
+    {"BuyConfirm",
+     {
+         {Kind::kScan, kShoppingCartLine, 800},
+         {Kind::kUpdateRow, kOrders, 1, 25920},
+         {Kind::kUpdateRow, kOrderLine, 1, kOrderLineRows},
+         {Kind::kUpdateRow, kCcXacts, 1, 25920},
+     }},
+    {"BuyRequest",
+     {
+         {Kind::kPointRead, kCustomer, 1},
+         {Kind::kScan, kShoppingCartLine, 800},
+         {Kind::kPointRead, kAddress, 1},
+     }},
+    {"CustomerRegistration",
+     {
+         {Kind::kPointRead, kCustomer, 1},
+     }},
+    {"Home",
+     {
+         {Kind::kPointRead, kCustomer, 1, 2880},
+         {Kind::kScan, kItem, 700},
+     }},
+    {"NewProducts",
+     {
+         {Kind::kScan, kItem, 9000},
+         {Kind::kSort, kCpu, 1800},
+     }},
+    {"OrderDisplay",
+     {
+         {Kind::kPointRead, kOrders, 1},
+         {Kind::kScan, kOrderLine, 900},
+     }},
+    {"OrderInquiry",
+     {
+         {Kind::kPointRead, kCustomer, 1},
+     }},
+    {"ProductDetail",
+     {
+         {Kind::kPointRead, kItem, 1, kItemRows},
+         {Kind::kPointRead, kAuthor, 1},
+     }},
+    {"SearchRequest",
+     {
+         {Kind::kScan, kItem, 500},
+     }},
+    // SearchResult: search by subject/title/author with a sort over
+    // matches.
+    {"SearchResult",
+     {
+         {Kind::kScan, kItem, 50000},
+         {Kind::kScan, kAuthor, 25000},
+         {Kind::kSort, kCpu, 28000},
+     }},
+    {"ShoppingCart",
+     {
+         {Kind::kScan, kShoppingCartLine, 900},
+         {Kind::kPointRead, kItem, 1, kItemRows},
+     }},
+}};
+
 }  // namespace
 
 const char* TpcwName(TpcwTransaction t) {
@@ -75,109 +176,11 @@ TpcwTransaction SampleBrowsingMix(util::Rng& rng) {
   return TpcwTransaction::kHome;
 }
 
-db::Query TpcwQuery(TpcwTransaction t, util::Rng& rng) {
-  db::Query q;
-  q.name = TpcwName(t);
-  switch (t) {
-    case TpcwTransaction::kBestSellers:
-      // Join of recent order_lines with item, sorted by sales: the
-      // heaviest read query (paper: 51.5% of MySQL CPU).
-      q.steps = {
-          {Kind::kScan, "order_line", 60000},
-          {Kind::kScan, "item", 40000},
-          {Kind::kSort, "", 33000},
-          {Kind::kTempTable, "", 3000},
-      };
-      break;
-    case TpcwTransaction::kSearchResult:
-      // Search by subject/title/author with a sort over matches.
-      q.steps = {
-          {Kind::kScan, "item", 50000},
-          {Kind::kScan, "author", 25000},
-          {Kind::kSort, "", 28000},
-      };
-      break;
-    case TpcwTransaction::kAdminConfirm:
-      // Sorting of table records, a temporary table, and an UPDATE of
-      // one item row (paper §8.4). Rare but enormous, and the UPDATE
-      // is what needs an exclusive lock on `item`.
-      q.steps = {
-          {Kind::kScan, "item", 100000},
-          {Kind::kScan, "order_line", 60000},
-          {Kind::kSort, "", 60000},
-          {Kind::kTempTable, "", 20000},
-          {Kind::kUpdateRow, "item", 1, rng.NextBelow(kItemRows)},
-      };
-      break;
-    case TpcwTransaction::kNewProducts:
-      q.steps = {
-          {Kind::kScan, "item", 9000},
-          {Kind::kSort, "", 1800},
-      };
-      break;
-    case TpcwTransaction::kHome:
-      q.steps = {
-          {Kind::kPointRead, "customer", 1, rng.NextBelow(2880)},
-          {Kind::kScan, "item", 700},
-      };
-      break;
-    case TpcwTransaction::kProductDetail:
-      q.steps = {
-          {Kind::kPointRead, "item", 1, rng.NextBelow(kItemRows)},
-          {Kind::kPointRead, "author", 1},
-      };
-      break;
-    case TpcwTransaction::kSearchRequest:
-      q.steps = {
-          {Kind::kScan, "item", 500},
-      };
-      break;
-    case TpcwTransaction::kShoppingCart:
-      q.steps = {
-          {Kind::kScan, "shopping_cart_line", 900},
-          {Kind::kPointRead, "item", 1, rng.NextBelow(kItemRows)},
-      };
-      break;
-    case TpcwTransaction::kBuyRequest:
-      q.steps = {
-          {Kind::kPointRead, "customer", 1},
-          {Kind::kScan, "shopping_cart_line", 800},
-          {Kind::kPointRead, "address", 1},
-      };
-      break;
-    case TpcwTransaction::kBuyConfirm:
-      q.steps = {
-          {Kind::kScan, "shopping_cart_line", 800},
-          {Kind::kUpdateRow, "orders", 1, rng.NextBelow(25920)},
-          {Kind::kUpdateRow, "order_line", 1, rng.NextBelow(kOrderLineRows)},
-          {Kind::kUpdateRow, "cc_xacts", 1, rng.NextBelow(25920)},
-      };
-      break;
-    case TpcwTransaction::kOrderDisplay:
-      q.steps = {
-          {Kind::kPointRead, "orders", 1},
-          {Kind::kScan, "order_line", 900},
-      };
-      break;
-    case TpcwTransaction::kOrderInquiry:
-      q.steps = {
-          {Kind::kPointRead, "customer", 1},
-      };
-      break;
-    case TpcwTransaction::kCustomerRegistration:
-      q.steps = {
-          {Kind::kPointRead, "customer", 1},
-      };
-      break;
-    case TpcwTransaction::kAdminRequest:
-      q.steps = {
-          {Kind::kPointRead, "item", 1, rng.NextBelow(kItemRows)},
-          {Kind::kPointRead, "author", 1},
-      };
-      break;
-  }
-  return q;
+const db::QueryPlan& TpcwPlan(TpcwTransaction t) {
+  return kPlans[static_cast<size_t>(t)];
 }
+
+db::Query TpcwQuery(TpcwTransaction t, util::Rng& rng) { return TpcwPlan(t).Bind(rng); }
 
 bool IsCacheable(TpcwTransaction t) {
   // TPC-W clause 6.3.3.1 (paper §8.4): BestSellers and SearchResult
@@ -186,7 +189,10 @@ bool IsCacheable(TpcwTransaction t) {
 }
 
 void CreateTpcwTables(db::Database& database, db::LockGranularity item_granularity) {
-  database.CreateTable("item", kItemRows, item_granularity);
+  // In TpcwTable order: the plans name tables by these ids.
+  [[maybe_unused]] const db::TableId first =
+      database.CreateTable("item", kItemRows, item_granularity).id();
+  assert(first == kItem && "TPC-W tables must be the database's first tables");
   database.CreateTable("author", 2500, db::LockGranularity::kTableLocks);
   database.CreateTable("customer", 2880, db::LockGranularity::kTableLocks);
   database.CreateTable("address", 5760, db::LockGranularity::kTableLocks);

@@ -46,8 +46,12 @@ double BrowsingMixPercent(TpcwTransaction t);
 // Draws the next interaction under the browsing mix.
 TpcwTransaction SampleBrowsingMix(util::Rng& rng);
 
-// The interaction's database plan. `rng` picks the row an UPDATE
-// touches (AdminConfirm updates one random item row).
+// The interaction's static database plan (table ids as created by
+// CreateTpcwTables).
+const db::QueryPlan& TpcwPlan(TpcwTransaction t);
+
+// One request's query: the interaction's plan with its rows drawn from
+// `rng` in step order (AdminConfirm updates one random item row).
 db::Query TpcwQuery(TpcwTransaction t, util::Rng& rng);
 
 // True for the interactions whose results TPC-W clause 6.3.3.1 allows

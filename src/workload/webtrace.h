@@ -37,20 +37,19 @@ class WebTrace {
         zipf_(model.objects, model.zipf_theta),
         store_(model.objects, model.min_object_bytes, model.max_object_bytes) {}
 
-  // The object ids requested over one connection: geometric length
-  // with exactly the configured mean (the exponential's rate is
-  // corrected for the floor: E[1 + floor(Exp(mu))] = 1 + 1/(e^(1/mu)-1),
-  // solved for the target), objects Zipf-popular.
-  std::vector<uint32_t> DrawConnection(util::Rng& rng) const {
+  // Appends the object ids requested over one connection to
+  // `objects`: geometric length with exactly the configured mean (the
+  // exponential's rate is corrected for the floor:
+  // E[1 + floor(Exp(mu))] = 1 + 1/(e^(1/mu)-1), solved for the target),
+  // objects Zipf-popular. Callers reuse one buffer per connection
+  // record, so steady-state draws do not allocate.
+  void DrawConnection(util::Rng& rng, std::vector<uint32_t>& objects) const {
     const double target = static_cast<double>(model_.requests_per_connection_mean);
     const double mu = 1.0 / std::log(1.0 + 1.0 / (target - 1.0));
     const int n = 1 + static_cast<int>(rng.NextExponential(mu));
-    std::vector<uint32_t> objects;
-    objects.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       objects.push_back(static_cast<uint32_t>(zipf_.Sample(rng)));
     }
-    return objects;
   }
 
   uint64_t ObjectBytes(uint32_t object) const { return store_.SizeOf(object); }

@@ -17,54 +17,64 @@ struct Fixture {
   Database database{sched, cpu, CostModel{}};
 };
 
+// Logs every step the query runs, charging raw costs.
+struct StepLog : ExecHooks {
+  sim::SimTime ChargeStep(const QueryStep& step, sim::SimTime c) override {
+    seen.emplace_back(step.kind, c);
+    return c;
+  }
+  std::vector<std::pair<Kind, sim::SimTime>> seen;
+};
+
 TEST(DbStepHookTest, HookSeesEveryStepWithItsCost) {
   Fixture f;
-  f.database.CreateTable("t", 100, LockGranularity::kTableLocks);
-  Query q{"q",
-          {{Kind::kScan, "t", 100},
-           {Kind::kSort, "", 50},
-           {Kind::kUpdateRow, "t", 1, 3}}};
-  std::vector<std::pair<Kind, sim::SimTime>> seen;
-  sim::Spawn(f.sched, [](Fixture& fx, Query qq,
-                         std::vector<std::pair<Kind, sim::SimTime>>& log) -> sim::Process {
-    co_await fx.database.Execute(qq, 1, nullptr,
-                                 [&log](const QueryStep& step, sim::SimTime c) {
-                                   log.emplace_back(step.kind, c);
-                                   return c;
-                                 });
-  }(f, q, seen));
+  const TableId t = f.database.CreateTable("t", 100, LockGranularity::kTableLocks).id();
+  const QueryPlan q{"q",
+                    {{Kind::kScan, t, 100},
+                     {Kind::kSort, kNoTable, 50},
+                     {Kind::kUpdateRow, t, 1}}};
+  StepLog log;
+  sim::Spawn(f.sched, [](Fixture& fx, Query qq, StepLog& hooks) -> sim::Process {
+    co_await fx.database.Execute(qq, 1, &hooks);
+  }(f, Query{&q, {0, 0, 3}}, log));
   f.sched.Run();
+  const auto& seen = log.seen;
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0].first, Kind::kScan);
-  EXPECT_EQ(seen[0].second, f.database.StepCost(q.steps[0]));
+  EXPECT_EQ(seen[0].second, f.database.StepCost(q.steps()[0]));
   EXPECT_EQ(seen[1].first, Kind::kSort);
   EXPECT_EQ(seen[2].first, Kind::kUpdateRow);
 }
 
+struct DoubleSteps : ExecHooks {
+  sim::SimTime ChargeStep(const QueryStep&, sim::SimTime c) override { return c * 2; }
+};
+
 TEST(DbStepHookTest, HookControlsConsumedCost) {
   Fixture f;
-  f.database.CreateTable("t", 100, LockGranularity::kTableLocks);
-  Query q{"q", {{Kind::kScan, "t", 1000}}};
+  const TableId t = f.database.CreateTable("t", 100, LockGranularity::kTableLocks).id();
+  const QueryPlan q{"q", {{Kind::kScan, t, 1000}}};
   sim::Spawn(f.sched, [](Fixture& fx, Query qq) -> sim::Process {
-    co_await fx.database.Execute(qq, 1, nullptr,
-                                 [](const QueryStep&, sim::SimTime c) { return c * 2; });
-  }(f, q));
+    DoubleSteps hooks;
+    co_await fx.database.Execute(qq, 1, &hooks);
+  }(f, Query{&q}));
   f.sched.Run();
   // Fixed cost unhooked + doubled step cost.
   EXPECT_EQ(f.cpu.busy_time(),
-            f.database.costs().fixed_per_query + 2 * f.database.StepCost(q.steps[0]));
+            f.database.costs().fixed_per_query + 2 * f.database.StepCost(q.steps()[0]));
 }
 
 TEST(DbStepHookTest, StepCostsSumToEstimate) {
   Fixture f;
-  Query q{"q",
-          {{Kind::kScan, "t", 123},
-           {Kind::kSort, "", 77},
-           {Kind::kTempTable, "", 10},
-           {Kind::kPointRead, "t", 1},
-           {Kind::kUpdateRow, "t", 1, 0}}};
+  const TableId t = 0;
+  const QueryPlan q{"q",
+                    {{Kind::kScan, t, 123},
+                     {Kind::kSort, kNoTable, 77},
+                     {Kind::kTempTable, kNoTable, 10},
+                     {Kind::kPointRead, t, 1},
+                     {Kind::kUpdateRow, t, 1}}};
   sim::SimTime sum = f.database.costs().fixed_per_query;
-  for (const QueryStep& s : q.steps) {
+  for (const QueryStep& s : q.steps()) {
     sum += f.database.StepCost(s);
   }
   EXPECT_EQ(sum, f.database.EstimateCost(q));
@@ -72,8 +82,9 @@ TEST(DbStepHookTest, StepCostsSumToEstimate) {
 
 TEST(DbStepHookTest, DiskTimeOnlyFromScans) {
   Fixture f;
-  Query scan_heavy{"a", {{Kind::kScan, "t", 10000}, {Kind::kSort, "", 10000}}};
-  Query cpu_only{"b", {{Kind::kSort, "", 10000}, {Kind::kPointRead, "t", 1}}};
+  const TableId t = 0;
+  const QueryPlan scan_heavy{"a", {{Kind::kScan, t, 10000}, {Kind::kSort, kNoTable, 10000}}};
+  const QueryPlan cpu_only{"b", {{Kind::kSort, kNoTable, 10000}, {Kind::kPointRead, t, 1}}};
   EXPECT_EQ(f.database.EstimateDiskTime(scan_heavy),
             10000 * f.database.costs().per_row_disk);
   EXPECT_EQ(f.database.EstimateDiskTime(cpu_only), 0);

@@ -145,7 +145,7 @@ TEST(SnapshotTest, ConcurrentWithWriters) {
 TEST(TraceTest, RecordsAndDropsAtCapacity) {
   TraceLog log(4);
   for (int i = 0; i < 6; ++i) {
-    log.Record(SpanRecord{"span", "detail", 0, i, 1});
+    log.Record("span", "detail", 0, i, 1);
   }
   EXPECT_EQ(log.recorded(), 6u);
   EXPECT_EQ(log.dropped(), 2u);

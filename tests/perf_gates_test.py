@@ -113,6 +113,10 @@ class PerfGatesTest(unittest.TestCase):
             ("fig11_response_time", "wall_ms.min", 1100.5, "FAIL"),
             ("ablation_live_obs", "wall_ms.min", 1100.0, "OK"),
             ("ablation_live_obs", "wall_ms.min", 1100.5, "FAIL"),
+            ("ablation_sampling", "wall_ms.min", 1100.0, "OK"),
+            ("ablation_sampling", "wall_ms.min", 1100.5, "FAIL"),
+            ("ablation_section_cache", "wall_ms.min", 1100.0, "OK"),
+            ("ablation_section_cache", "wall_ms.min", 1100.5, "FAIL"),
         ]
         for n in (64, 1024, 16384):  # ladder == heap passes at every depth
             ladder = f"google_benchmark.BM_LadderHold/{n}.cpu_time_ns"
@@ -141,9 +145,10 @@ class PerfGatesTest(unittest.TestCase):
             row = ROWS[row_index(bench, "wall_ms.min")]
             self.assertEqual(row[2:], ("<=", Baseline("wall_ms.median"), DEMOTABLE))
 
-    def test_live_ablation_has_a_demotable_wall_row(self):
-        row = ROWS[row_index("ablation_live_obs", "wall_ms.min")]
-        self.assertEqual(row[2:], ("<=", Baseline("wall_ms.median"), DEMOTABLE))
+    def test_every_ablation_with_a_baseline_has_a_demotable_wall_row(self):
+        for bench in ("ablation_live_obs", "ablation_sampling", "ablation_section_cache"):
+            row = ROWS[row_index(bench, "wall_ms.min")]
+            self.assertEqual(row[2:], ("<=", Baseline("wall_ms.median"), DEMOTABLE))
 
     def test_missing_inputs_fail_even_when_demoted(self):
         del self.fresh["table3_emulation"]["derived"]["detector_cached_ratio"]

@@ -49,11 +49,13 @@ TEST(TpcwTest, CacheabilityPerSpec) {
 }
 
 TEST(TpcwTest, AdminConfirmWritesItem) {
-  util::Rng rng(7);
-  db::Query q = TpcwQuery(TpcwTransaction::kAdminConfirm, rng);
+  sim::Scheduler sched;
+  sim::CpuResource cpu(sched, 1);
+  db::Database database(sched, cpu, db::CostModel{});
+  CreateTpcwTables(database, db::LockGranularity::kTableLocks);
   bool updates_item = false;
-  for (const auto& s : q.steps) {
-    if (s.kind == db::QueryStep::Kind::kUpdateRow && s.table == "item") {
+  for (const auto& s : TpcwPlan(TpcwTransaction::kAdminConfirm).steps()) {
+    if (s.kind == db::QueryStep::Kind::kUpdateRow && s.table == database.table("item").id()) {
       updates_item = true;
     }
   }
@@ -61,11 +63,9 @@ TEST(TpcwTest, AdminConfirmWritesItem) {
 }
 
 TEST(TpcwTest, ReadOnlyInteractionsDontWrite) {
-  util::Rng rng(7);
   for (TpcwTransaction t : {TpcwTransaction::kBestSellers, TpcwTransaction::kSearchResult,
                             TpcwTransaction::kHome, TpcwTransaction::kProductDetail}) {
-    db::Query q = TpcwQuery(t, rng);
-    for (const auto& s : q.steps) {
+    for (const auto& s : TpcwPlan(t).steps()) {
       EXPECT_NE(s.kind, db::QueryStep::Kind::kUpdateRow) << TpcwName(t);
     }
   }
@@ -86,7 +86,7 @@ TEST(TpcwTest, CpuSharesReproduceTable1Regime) {
   for (int i = 0; i < kTpcwTransactionCount; ++i) {
     auto t = static_cast<TpcwTransaction>(i);
     const double cost =
-        static_cast<double>(database.EstimateCost(TpcwQuery(t, rng)));
+        static_cast<double>(database.EstimateCost(*TpcwQuery(t, rng).plan));
     const double w = cost * BrowsingMixPercent(t);
     weighted[t] = w;
     total += w;
@@ -108,18 +108,26 @@ TEST(TpcwTest, AdminConfirmIsTheHeaviestSingleQuery) {
   sim::CpuResource cpu(sched, 1);
   db::Database database(sched, cpu, db::CostModel{});
   util::Rng rng(5);
-  const auto admin_cost = database.EstimateCost(TpcwQuery(TpcwTransaction::kAdminConfirm, rng));
+  const auto admin_cost =
+      database.EstimateCost(*TpcwQuery(TpcwTransaction::kAdminConfirm, rng).plan);
   for (int i = 0; i < kTpcwTransactionCount; ++i) {
     auto t = static_cast<TpcwTransaction>(i);
     if (t == TpcwTransaction::kAdminConfirm) {
       continue;
     }
-    EXPECT_GE(admin_cost, database.EstimateCost(TpcwQuery(t, rng))) << TpcwName(t);
+    EXPECT_GE(admin_cost, database.EstimateCost(*TpcwQuery(t, rng).plan)) << TpcwName(t);
   }
   // And it is in the several-hundred-millisecond class that makes the
   // Figure 11 response times plausible.
   EXPECT_GT(admin_cost, sim::Millis(200));
   EXPECT_LT(admin_cost, sim::Millis(900));
+}
+
+TEST(TpcwTest, PlansAreIndexedByInteraction) {
+  for (int i = 0; i < kTpcwTransactionCount; ++i) {
+    const auto t = static_cast<TpcwTransaction>(i);
+    EXPECT_EQ(TpcwPlan(t).name(), TpcwName(t));
+  }
 }
 
 TEST(TpcwTest, TablesCreatedWithChosenGranularity) {

@@ -3,10 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 namespace whodunit::workload {
 namespace {
+
+// One connection's objects in a fresh buffer.
+std::vector<uint32_t> Draw(const WebTrace& trace, util::Rng& rng) {
+  std::vector<uint32_t> objects;
+  trace.DrawConnection(rng, objects);
+  return objects;
+}
 
 TEST(WebTraceTest, ConnectionLengthsHaveConfiguredMean) {
   WebTrace trace;
@@ -14,7 +23,7 @@ TEST(WebTraceTest, ConnectionLengthsHaveConfiguredMean) {
   double total = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    total += static_cast<double>(trace.DrawConnection(rng).size());
+    total += static_cast<double>(Draw(trace, rng).size());
   }
   EXPECT_NEAR(total / n, kRequestsPerConnectionMean, 0.3);
 }
@@ -23,7 +32,7 @@ TEST(WebTraceTest, EveryConnectionHasAtLeastOneRequest) {
   WebTrace trace;
   util::Rng rng(7);
   for (int i = 0; i < 5000; ++i) {
-    EXPECT_GE(trace.DrawConnection(rng).size(), 1u);
+    EXPECT_GE(Draw(trace, rng).size(), 1u);
   }
 }
 
@@ -33,7 +42,7 @@ TEST(WebTraceTest, PopularitySkewed) {
   std::map<uint32_t, int> counts;
   int total = 0;
   for (int i = 0; i < 5000; ++i) {
-    for (uint32_t obj : trace.DrawConnection(rng)) {
+    for (uint32_t obj : Draw(trace, rng)) {
       ++counts[obj];
       ++total;
     }
@@ -83,8 +92,19 @@ TEST(WebTraceTest, DrawsDeterministicForSeed) {
   WebTrace trace;
   util::Rng r1(5), r2(5);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(trace.DrawConnection(r1), trace.DrawConnection(r2));
+    EXPECT_EQ(Draw(trace, r1), Draw(trace, r2));
   }
+}
+
+TEST(WebTraceTest, DrawAppendsToTheCallersBuffer) {
+  WebTrace trace;
+  util::Rng r1(5), r2(5);
+  std::vector<uint32_t> objects = {7};
+  trace.DrawConnection(r1, objects);
+  const std::vector<uint32_t> fresh = Draw(trace, r2);
+  ASSERT_EQ(objects.size(), fresh.size() + 1);
+  EXPECT_EQ(objects.front(), 7u);
+  EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), objects.begin() + 1));
 }
 
 TEST(WebTraceTest, CustomModelRespected) {
@@ -94,7 +114,7 @@ TEST(WebTraceTest, CustomModelRespected) {
   WebTrace trace(model);
   util::Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
-    for (uint32_t obj : trace.DrawConnection(rng)) {
+    for (uint32_t obj : Draw(trace, rng)) {
       EXPECT_LT(obj, 10u);
     }
   }
