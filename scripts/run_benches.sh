@@ -161,18 +161,23 @@ out = {
 }
 
 # google-benchmark per-op timings: median across runs, per benchmark.
+# per_run_cpu keeps each run's cpu_time_ns by name for within-run ratios.
 gbench = {}
+per_run_cpu = []
 for run in range(1, runs + 1):
     path = os.path.join(workdir, f"gbench_{run}.json")
     if not os.path.exists(path):
         continue
     with open(path) as f:
         doc = json.load(f)
+    cpu = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type", "iteration") != "iteration":
             continue
         gbench.setdefault(b["name"], []).append(
             (b["real_time"], b["cpu_time"], b["iterations"]))
+        cpu[b["name"]] = b["cpu_time"]
+    per_run_cpu.append(cpu)
 if gbench:
     out["google_benchmark"] = {
         bname: {
@@ -195,12 +200,15 @@ if "BM_EmulationFromCache" in gb:
 
 # Detector tax with the section cache hitting, relative to cached
 # replay without observation — the "<3x" acceptance headline
-# (docs/PERFORMANCE.md). A within-run ratio, so host noise that
-# inflates both numerators cancels out.
-if "BM_SectionCacheWithDetector" in gb and "BM_EmulationFromCache" in gb:
-    derived["detector_cached_ratio"] = round(
-        gb["BM_SectionCacheWithDetector"]["cpu_time_ns"]
-        / gb["BM_EmulationFromCache"]["cpu_time_ns"], 3)
+# (docs/PERFORMANCE.md). The median of each run's own ratio: the two
+# benchmarks of one run are seconds apart, so host noise that slows a
+# run slows both sides; a ratio of the two medians would divide
+# numbers taken from different runs.
+ratios = [cpu["BM_SectionCacheWithDetector"] / cpu["BM_EmulationFromCache"]
+          for cpu in per_run_cpu
+          if "BM_SectionCacheWithDetector" in cpu and cpu.get("BM_EmulationFromCache")]
+if ratios:
+    derived["detector_cached_ratio"] = round(statistics.median(ratios), 3)
 if "BM_LadderHold/131072" in gb and "BM_HeapHold/131072" in gb:
     derived["scheduler_speedup"] = round(
         gb["BM_HeapHold/131072"]["cpu_time_ns"]

@@ -40,7 +40,7 @@ struct DbRequest {
   TpcwTransaction type;  // ground-truth accounting only
   db::Query query;
   SynopsisId syn = context::kEmptySynopsis;
-  uint64_t txn = 0;      // live-observability transaction id
+  obs::live::TxnHandle txn = 0;  // live-observability transaction handle
   int64_t sent_ns = 0;   // send stamp; receiver derives queue wait
   sim::Channel<DbReply>* reply = nullptr;
 };
@@ -53,7 +53,7 @@ struct TomcatRequest {
   TpcwTransaction type;
   uint32_t cache_key = 0;
   SynopsisId syn = context::kEmptySynopsis;
-  uint64_t txn = 0;      // live-observability transaction id
+  obs::live::TxnHandle txn = 0;  // live-observability transaction handle
   int64_t sent_ns = 0;   // send stamp; receiver derives queue wait
   sim::Channel<TomcatReply>* reply = nullptr;
 };
@@ -181,7 +181,7 @@ class Bookstore {
         break;
       }
       squid_.ResetTransaction(tp);
-      const uint64_t live_txn =
+      const obs::live::TxnHandle live_txn =
           squid_.LiveBegin(tp, tpcw_syms_[static_cast<size_t>(req->type)]);
       uint64_t bytes = 0;
       {
@@ -349,7 +349,8 @@ class Bookstore {
         const uint64_t tag = mysql_.CrosstalkTag(tp);
         if (daemon_ != nullptr && mysql_.IsSampled(tp)) {
           // Crosstalk tags resolve to TPC-W interaction names in the
-          // daemon's live matrix.
+          // daemon's live matrix; the first name a tag gets sticks, so
+          // naming it again is one flat-table load.
           daemon_->NameTag(tag, workload::TpcwName(req->type));
         }
         // mysqld's own shared-memory critical sections run as part of

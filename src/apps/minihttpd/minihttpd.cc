@@ -47,7 +47,7 @@ constexpr uint64_t kScratchBase = 0x20000;
 struct Connection {
   uint32_t client = 0;
   std::vector<uint32_t> objects;
-  uint64_t txn = 0;  // live-observability transaction id
+  obs::live::TxnHandle txn = 0;  // live-observability transaction handle
   // The listener's per-connection sampling decision, carried to the
   // worker beside the payload (the queue itself carries no synopsis).
   bool sampled = true;

@@ -34,7 +34,7 @@ struct ReqState {
   uint32_t object = 0;
   std::vector<uint32_t> objects;
   size_t next_index = 0;
-  uint64_t txn = 0;  // live-observability transaction id
+  obs::live::TxnHandle txn = 0;  // live-observability transaction handle
 };
 
 class Haboob {
@@ -98,7 +98,7 @@ class Haboob {
   // transaction's spans are opened/closed against the stage's name
   // directly rather than through StageProfiler's (single) stage name.
   ReqState& Req(uint64_t payload) { return requests_[static_cast<uint32_t>(payload)]; }
-  uint64_t TxnOf(uint64_t payload) { return Req(payload).txn; }
+  obs::live::TxnHandle TxnOf(uint64_t payload) { return Req(payload).txn; }
   void LiveJoinStage(const StageGraph::WorkerContext& wc) {
     if (daemon_ != nullptr) {
       daemon_->JoinSpan(TxnOf(wc.payload), stage_syms_[wc.stage], /*link=*/0,
@@ -199,7 +199,7 @@ class Haboob {
                                  LiveLeaveStage(wc);
                                  wc.EnqueueTo(read_, wc.payload);
                                } else {
-                                 const uint64_t txn = st.txn;
+                                 const obs::live::TxnHandle txn = st.txn;
                                  if (st.client != kOpenLoopClient) {
                                    client_done_[st.client]->Send(1);
                                  }

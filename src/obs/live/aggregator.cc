@@ -40,18 +40,17 @@ void LiveAggregator::Ingest(std::span<const TxnEvent> events) {
       ++stage.spans;
       stage.busy_ns += static_cast<uint64_t>(std::max<int64_t>(span.duration_ns, 0));
     }
-    if (event.root_ctxt != context::kEmptyContext) {
-      // The transaction's own end-to-end latency also accrues to its
-      // origin context so a type with little CPU but long waits still
-      // surfaces; CPU-level attribution arrives separately via AddCost.
-      cost_by_ctxt_.GetOrInsert(event.root_ctxt) += 0;
+    if (const context::NodeId root = event.root_ctxt; root != context::kEmptyContext) {
+      // The origin context gets a (possibly zero-cost) row so a type
+      // with little CPU but long waits still surfaces in the top
+      // contexts; CPU-level attribution arrives separately via AddCost.
+      CostOf(root);
     }
     if (!event.attr.empty()) {
       ++attr_txns;
       attr_slices += event.attr.size();
       for (const AttrSlice& slice : event.attr) {
-        attr_.GetOrInsert(AttrKey{event.type, slice.stage, slice.ctxt,
-                                  static_cast<uint8_t>(slice.state)}) += slice.ns;
+        AttrNs(type, slice.stage, slice.ctxt, static_cast<uint8_t>(slice.state)) += slice.ns;
       }
     }
   }
@@ -63,15 +62,46 @@ void LiveAggregator::Ingest(std::span<const TxnEvent> events) {
   }
 }
 
-void LiveAggregator::AddCost(context::NodeId ctxt, uint64_t cost_ns) {
-  cost_by_ctxt_.GetOrInsert(ctxt) += cost_ns;
+int64_t& LiveAggregator::AttrNs(TypeState& type, SymId stage, context::NodeId ctxt,
+                                uint8_t state) {
+  const size_t chain = static_cast<size_t>(stage) * kWaitStateCount + state;
+  if (chain >= type.attr_head.size()) {
+    type.attr_head.resize(chain + 1, kNoCell);
+  }
+  uint32_t& head = type.attr_head[chain];
+  uint32_t cell = head;
+  while (cell != kNoCell && type.attr_cells[cell].ctxt != ctxt) {
+    cell = type.attr_cells[cell].next;
+  }
+  if (cell == kNoCell) {
+    cell = static_cast<uint32_t>(type.attr_cells.size());
+    type.attr_cells.push_back(AttrCell{stage, ctxt, state, head, 0});
+    head = cell;
+  }
+  return type.attr_cells[cell].ns;
 }
 
-void LiveAggregator::NameTag(uint64_t tag, std::string_view name) {
-  auto it = tag_names_.find(tag);
-  if (it == tag_names_.end()) {
-    tag_names_.emplace(tag, std::string(name));
+uint64_t& LiveAggregator::CostOf(context::NodeId ctxt) {
+  if (ctxt >= cost_by_ctxt_.size()) {
+    cost_by_ctxt_.resize(static_cast<size_t>(ctxt) + 1);
   }
+  std::optional<uint64_t>& cost = cost_by_ctxt_[ctxt];
+  if (!cost.has_value()) {
+    cost.emplace(0);
+  }
+  return *cost;
+}
+
+void LiveAggregator::AddCost(context::NodeId ctxt, uint64_t cost_ns) { CostOf(ctxt) += cost_ns; }
+
+void LiveAggregator::NameTag(uint64_t tag, std::string_view name) {
+  if (tag < tag_names_.size() && tag_names_[tag].has_value()) {
+    return;
+  }
+  if (tag >= tag_names_.size()) {
+    tag_names_.resize(static_cast<size_t>(tag) + 1);
+  }
+  tag_names_[tag].emplace(name);
 }
 
 void LiveAggregator::IngestWait(uint64_t waiter_tag, uint64_t holder_tag, uint64_t wait_ns) {
@@ -93,23 +123,21 @@ void LiveAggregator::MergeFrom(const LiveAggregator& other,
     TypeState& mine = by_type_[remap_sym(id)];
     mine.latency_ns.Merge(state.latency_ns);
     mine.errors += state.errors;
+    for (const AttrCell& cell : state.attr_cells) {
+      const context::NodeId here =
+          cell.ctxt < ctxt_remap.size() ? ctxt_remap[cell.ctxt] : cell.ctxt;
+      AttrNs(mine, remap_sym(cell.stage), here, cell.state) += cell.ns;
+    }
   });
   other.by_stage_.ForEach([&](SymId id, const StageState& state) {
     StageState& mine = by_stage_[remap_sym(id)];
     mine.spans += state.spans;
     mine.busy_ns += state.busy_ns;
   });
-  other.attr_.ForEach([&](const AttrKey& key, const int64_t& ns) {
-    const context::NodeId here = key.ctxt < ctxt_remap.size() ? ctxt_remap[key.ctxt] : key.ctxt;
-    attr_.GetOrInsert(AttrKey{remap_sym(key.type), remap_sym(key.stage), here, key.state}) += ns;
-  });
   // Re-base the other side's tags above everything already present so
-  // contexts from different shards never alias. std::map iteration is
-  // ordered, so the assignment is deterministic.
-  uint64_t next_tag = 0;
-  if (!tag_names_.empty()) {
-    next_tag = tag_names_.rbegin()->first + 1;
-  }
+  // contexts from different shards never alias. Names and waits both
+  // iterate in tag order, so the assignment is deterministic.
+  uint64_t next_tag = tag_names_.size();
   for (const auto& [pair, stat] : waits_) {
     next_tag = std::max({next_tag, pair.first + 1, pair.second + 1});
   }
@@ -121,16 +149,19 @@ void LiveAggregator::MergeFrom(const LiveAggregator& other,
     }
     return it->second;
   };
-  for (const auto& [tag, name] : other.tag_names_) {
-    tag_names_.emplace(remap_tag(tag), name);
+  for (uint64_t tag = 0; tag < other.tag_names_.size(); ++tag) {
+    if (other.tag_names_[tag].has_value()) {
+      NameTag(remap_tag(tag), *other.tag_names_[tag]);
+    }
   }
   for (const auto& [pair, stat] : other.waits_) {
     waits_[{remap_tag(pair.first), remap_tag(pair.second)}].Merge(stat);
   }
-  other.cost_by_ctxt_.ForEach([&](const context::NodeId& ctxt, const uint64_t& cost) {
-    const context::NodeId here = ctxt < ctxt_remap.size() ? ctxt_remap[ctxt] : ctxt;
-    cost_by_ctxt_.GetOrInsert(here) += cost;
-  });
+  for (context::NodeId ctxt = 0; ctxt < other.cost_by_ctxt_.size(); ++ctxt) {
+    if (const std::optional<uint64_t>& cost = other.cost_by_ctxt_[ctxt]) {
+      CostOf(ctxt < ctxt_remap.size() ? ctxt_remap[ctxt] : ctxt) += *cost;
+    }
+  }
   txns_ += other.txns_;
   errors_ += other.errors_;
 }
@@ -178,8 +209,10 @@ void LiveAggregator::StageRowsInto(std::vector<StageRow>& rows) const {
 }
 
 std::string LiveAggregator::TagName(uint64_t tag) const {
-  auto it = tag_names_.find(tag);
-  return it != tag_names_.end() ? it->second : "tag_" + std::to_string(tag);
+  if (tag < tag_names_.size() && tag_names_[tag].has_value()) {
+    return *tag_names_[tag];
+  }
+  return "tag_" + std::to_string(tag);
 }
 
 void LiveAggregator::CrosstalkRowsInto(std::vector<PairRow>& rows) const {
@@ -211,9 +244,11 @@ void LiveAggregator::CrosstalkRowsInto(std::vector<PairRow>& rows) const {
 
 void LiveAggregator::TopContextsInto(size_t n, std::vector<CtxtRow>& rows) const {
   rows.clear();
-  cost_by_ctxt_.ForEach([&](const context::NodeId& ctxt, const uint64_t& cost) {
-    rows.push_back(CtxtRow{ctxt, cost});
-  });
+  for (context::NodeId ctxt = 0; ctxt < cost_by_ctxt_.size(); ++ctxt) {
+    if (const std::optional<uint64_t>& cost = cost_by_ctxt_[ctxt]) {
+      rows.push_back(CtxtRow{ctxt, *cost});
+    }
+  }
   std::sort(rows.begin(), rows.end(), [](const CtxtRow& a, const CtxtRow& b) {
     if (a.cost_ns != b.cost_ns) {
       return a.cost_ns > b.cost_ns;
@@ -227,14 +262,15 @@ void LiveAggregator::TopContextsInto(size_t n, std::vector<CtxtRow>& rows) const
 
 std::vector<LiveAggregator::AttrRow> LiveAggregator::AttrRows() const {
   std::vector<AttrRow> rows;
-  rows.reserve(attr_.size());
-  attr_.ForEach([&](const AttrKey& key, const int64_t& ns) {
-    rows.push_back(AttrRow{TypeName(key.type), syms_->Name(key.stage), key.ctxt,
-                           static_cast<WaitState>(key.state), ns});
+  by_type_.ForEach([&](SymId type, const TypeState& state) {
+    for (const AttrCell& cell : state.attr_cells) {
+      rows.push_back(AttrRow{TypeName(type), syms_->Name(cell.stage), cell.ctxt,
+                             static_cast<WaitState>(cell.state), cell.ns});
+    }
   });
-  // attr_ is in hash order; sort by name so the rows are deterministic
-  // regardless of ingest or merge order. Interning is injective, so no
-  // two rows tie on all four.
+  // Cells are in first-seen order; sort by name so the rows are
+  // deterministic regardless of ingest or merge order. Interning is
+  // injective, so no two rows tie on all four.
   std::sort(rows.begin(), rows.end(), [](const AttrRow& a, const AttrRow& b) {
     if (const int c = a.type.compare(b.type)) return c < 0;
     if (const int c = a.stage.compare(b.stage)) return c < 0;
@@ -248,8 +284,10 @@ std::string LiveAggregator::ExportAttrFolded() const {
   // Fold contexts out, re-keying by name through an ordered map so the
   // output is deterministic no matter the intern order.
   std::map<std::tuple<std::string, std::string, uint8_t>, int64_t> folded;
-  attr_.ForEach([&](const AttrKey& key, const int64_t& ns) {
-    folded[{TypeName(key.type), syms_->Name(key.stage), key.state}] += ns;
+  by_type_.ForEach([&](SymId type, const TypeState& state) {
+    for (const AttrCell& cell : state.attr_cells) {
+      folded[{TypeName(type), syms_->Name(cell.stage), cell.state}] += cell.ns;
+    }
   });
   std::string out;
   for (const auto& [key, ns] : folded) {

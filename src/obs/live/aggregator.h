@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,7 +35,6 @@
 #include "src/obs/live/symbol_table.h"
 #include "src/obs/live/txn_event.h"
 #include "src/obs/metrics.h"
-#include "src/util/robin_hood.h"
 #include "src/util/stats.h"
 
 namespace whodunit::obs::live {
@@ -50,7 +50,10 @@ class LiveAggregator {
   // Cumulative CPU cost charged under an interned transaction context.
   void AddCost(context::NodeId ctxt, uint64_t cost_ns);
   // Names a crosstalk tag (profiler context id) with a transaction
-  // type; unnamed tags render as "tag_<id>".
+  // type; the first name a tag gets sticks, and unnamed tags render as
+  // "tag_<id>". Tags are a stage's small dense context ids: the names
+  // sit in a flat table indexed by tag, so naming a named tag again is
+  // one load.
   void NameTag(uint64_t tag, std::string_view name);
   // One observed lock wait: `waiter` blocked behind `holder`.
   void IngestWait(uint64_t waiter_tag, uint64_t holder_tag, uint64_t wait_ns);
@@ -151,9 +154,25 @@ class LiveAggregator {
   void MergeFrom(const LiveAggregator& other, const std::vector<context::NodeId>& ctxt_remap);
 
  private:
+  // One critical-path bucket of a transaction type: (stage, ctxt,
+  // state) and its cumulative ns. A type's cells that share (stage,
+  // state) chain through `next`, newest first.
+  static constexpr uint32_t kNoCell = ~uint32_t{0};
+  struct AttrCell {
+    SymId stage = 0;
+    context::NodeId ctxt = context::kEmptyContext;
+    uint8_t state = 0;
+    uint32_t next = kNoCell;
+    int64_t ns = 0;
+  };
   struct TypeState {
     util::LogHistogram latency_ns;
     uint64_t errors = 0;
+    // The type's attribution table: attr_head[stage * kWaitStateCount
+    // + state] is the newest cell of that chain. Folding a slice is an
+    // index plus a ctxt compare per chain link — no hashing.
+    std::vector<uint32_t> attr_head;
+    std::vector<AttrCell> attr_cells;
   };
   struct StageState {
     uint64_t spans = 0;
@@ -195,22 +214,11 @@ class LiveAggregator {
     std::vector<State> states_;
   };
 
-  // Key of the attribution table: one critical-path bucket.
-  struct AttrKey {
-    SymId type = 0;
-    SymId stage = 0;
-    context::NodeId ctxt = context::kEmptyContext;
-    uint8_t state = 0;
-    bool operator==(const AttrKey&) const = default;
-  };
-  struct AttrKeyHash {
-    size_t operator()(const AttrKey& k) const {
-      const uint64_t hi = (uint64_t{k.type} << 32) | k.stage;
-      const uint64_t lo = (uint64_t{k.ctxt} << 8) | k.state;
-      return util::SplitMix64Hash{}(hi * 0x9e3779b97f4a7c15ull ^ lo);
-    }
-  };
-
+  // The (stage, ctxt, state) cell of `type`'s attribution table,
+  // created at 0 ns the first time it is seen.
+  static int64_t& AttrNs(TypeState& type, SymId stage, context::NodeId ctxt, uint8_t state);
+  // The cost cell of `ctxt`, created at 0 the first time it is seen.
+  uint64_t& CostOf(context::NodeId ctxt);
   std::string TagName(uint64_t tag) const;
   // Resolves a type SymId for display: id 0 renders as "(untyped)".
   const std::string& TypeName(SymId id) const;
@@ -221,11 +229,15 @@ class LiveAggregator {
   // order, which no view depends on: every view re-sorts by name.
   SymSlots<TypeState> by_type_;
   SymSlots<StageState> by_stage_;
-  // (type, stage, ctxt, state) -> cumulative critical-path ns.
-  util::RobinHoodMap<AttrKey, int64_t, AttrKeyHash> attr_;
   std::map<std::pair<uint64_t, uint64_t>, util::RunningStat> waits_;
-  std::map<uint64_t, std::string> tag_names_;
-  util::RobinHoodMap<context::NodeId, uint64_t> cost_by_ctxt_;
+  // tag -> its name, nullopt while unnamed; sized to the largest named
+  // tag + 1.
+  std::vector<std::optional<std::string>> tag_names_;
+  // NodeId -> cumulative cost, nullopt for a context never charged nor
+  // seen as a root. NodeIds are dense ContextTree indices, so this is
+  // a flat table: an event whose root context is present pays one
+  // load.
+  std::vector<std::optional<uint64_t>> cost_by_ctxt_;
   uint64_t txns_ = 0;
   uint64_t errors_ = 0;
   // Bound at construction (shard-registry rule): an aggregator built

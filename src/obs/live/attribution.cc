@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,20 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
     RankSymbols(syms, scratch);
   }
 
+  // The span tree and the raw slices are indexed, not appended: a span
+  // adds at most three slices for each child and three for its own
+  // tail, so 6n bounds them. Once warm the resizes never reallocate.
+  scratch.first_child.assign(n, kNoSpan);
+  scratch.next_sibling.resize(n);
+  scratch.subtree_end.assign(n, std::numeric_limits<int64_t>::min());
+  scratch.span_rank.resize(n);
+  scratch.raw.resize(6 * n);
+  uint32_t* const first = scratch.first_child.data();
+  uint32_t* const next = scratch.next_sibling.data();
+  int64_t* const subtree_end = scratch.subtree_end.data();
+  uint32_t* const span_rank = scratch.span_rank.data();
+  AttrScratch::RawSlice* const raw = scratch.raw.data();
+
   // One reverse pass over the spans builds the tree: each span's child
   // list (first_child / next_sibling, in index order), its subtree end
   // (children carry larger indices, so a span's is final before its
@@ -60,14 +75,6 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
   // join order, so index order is a stable tiebreak for equal starts.
   // Spans with no recorded parent (beyond the origin) are grafted onto
   // the origin so every nanosecond stays reachable from the root walk.
-  scratch.first_child.assign(n, kNoSpan);
-  scratch.next_sibling.resize(n);
-  scratch.subtree_end.assign(n, std::numeric_limits<int64_t>::min());
-  scratch.span_rank.resize(n);
-  uint32_t* const first = scratch.first_child.data();
-  uint32_t* const next = scratch.next_sibling.data();
-  int64_t* const subtree_end = scratch.subtree_end.data();
-  uint32_t* const span_rank = scratch.span_rank.data();
   bool in_start_order = true;
   for (size_t i = n; i-- > 0;) {
     const StageSpan& s = event.spans[i];
@@ -109,13 +116,12 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
 
   // Unfolded slices carry packed (rank, ctxt, state) keys; symbols are
   // resolved back once per output bucket at the end.
-  std::vector<AttrScratch::RawSlice>& raw = scratch.raw;
-  raw.clear();
+  size_t raw_count = 0;
   const auto add = [&](size_t span, WaitState state, int64_t ns) {
     if (ns <= 0) return;
     const StageSpan& s = event.spans[span];
     const context::NodeId ctxt = s.ctxt != context::kEmptyContext ? s.ctxt : event.root_ctxt;
-    raw.push_back({SliceKey(span_rank[span], ctxt, state), ns});
+    raw[raw_count++] = {SliceKey(span_rank[span], ctxt, state), ns};
   };
 
   // Walk the critical path: span i owns the window [lo, hi). Intervals
@@ -162,13 +168,13 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
   // rank order IS name order, so this matches the pre-interning string
   // sort. The sort need not be stable: equal-key slices are summed, so
   // their relative order cannot show in the output.
-  std::sort(raw.begin(), raw.end(),
+  std::sort(raw, raw + raw_count,
             [](const AttrScratch::RawSlice& a, const AttrScratch::RawSlice& b) {
               return a.key < b.key;
             });
-  out.reserve(raw.size());
+  out.reserve(raw_count);
   uint64_t last_key = 0;
-  for (const AttrScratch::RawSlice& r : raw) {
+  for (const AttrScratch::RawSlice& r : std::span(raw, raw_count)) {
     if (!out.empty() && r.key == last_key) {
       out.back().ns += r.ns;
     } else {

@@ -38,7 +38,8 @@ Whodunitd::Whodunitd(sim::Scheduler& sched, LiveOptions options)
     : sched_(sched),
       options_(options),
       ch_(sched),
-      history_(HistoryOptions{options.history_bytes, options.history_flush_interval_ns}),
+      history_(HistoryOptions{options.history_bytes, options.history_flush_interval_ns,
+                              options.span_ring}),
       obs_begun_(&Registry().GetCounter("live.txns_begun")),
       obs_dropped_(&Registry().GetCounter("live.txns_dropped")),
       obs_abandoned_(&Registry().GetCounter("live.txns_abandoned")),
@@ -85,21 +86,9 @@ sim::Process Whodunitd::Pump() {
     }
     agg_.Ingest(std::span<const TxnEvent>(batch->begin(), batch->end()));
     for (TxnEvent& event : *batch) {
-      // Ownership split: the recent ring takes the copy, the
-      // byte-budgeted history takes the move (it is the last consumer,
-      // so retention reuses the event's own blocks and never draws a
-      // fresh one). The ring recycles its oldest slot in place —
-      // PooledVec copy assignment reuses the slot's existing blocks —
-      // so once every slot has seen the largest event shape the ring
-      // stops touching the arena entirely.
-      if (options_.span_ring > 0) {
-        if (recent_.size() < options_.span_ring) {
-          recent_.push_back(event);
-        } else {
-          recent_.rotate_front_to_back();
-          recent_.back() = event;
-        }
-      }
+      // The history is the last consumer and the event's one owner from
+      // here on: it keeps the event's own blocks, so retention never
+      // draws a fresh one, and its newest records are the span ring.
       history_.Ingest(std::move(event), sched_.now());
     }
     // Batch destructs here: its pooled block recycles to the arena.
@@ -110,8 +99,8 @@ sim::Process Whodunitd::Pump() {
   history_.Flush(sched_.now());
 }
 
-uint64_t Whodunitd::BeginTxn(SymId origin_stage, SymId type, int64_t now) {
-  if (shutdown_ || slot_of_.size() >= options_.max_inflight) {
+TxnHandle Whodunitd::BeginTxn(SymId origin_stage, SymId type, int64_t now) {
+  if (shutdown_ || inflight_ >= options_.max_inflight) {
     obs_dropped_->Add();
     return 0;
   }
@@ -125,7 +114,7 @@ uint64_t Whodunitd::BeginTxn(SymId origin_stage, SymId type, int64_t now) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  slot_of_.GetOrInsert(txn) = slot;
+  ++inflight_;
   Builder& b = slots_[slot];
   // A reused slot's event was moved into the publish batch, which left
   // its span and attr blocks empty; reset the scalar fields.
@@ -140,11 +129,11 @@ uint64_t Whodunitd::BeginTxn(SymId origin_stage, SymId type, int64_t now) {
   event.spans.push_back(StageSpan{origin_stage, now, 0, /*parent=*/-1, /*link=*/0});
   b.open.clear();
   b.open.push_back({0, 0, origin_stage});
-  obs_inflight_->Set(static_cast<int64_t>(slot_of_.size()));
-  return txn;
+  obs_inflight_->Set(static_cast<int64_t>(inflight_));
+  return (TxnHandle{b.generation} << 32) | slot;
 }
 
-void Whodunitd::SetTxnType(uint64_t txn, SymId type) {
+void Whodunitd::SetTxnType(TxnHandle txn, SymId type) {
   if (Builder* b = Find(txn)) {
     b->event.type = type;
   }
@@ -159,7 +148,7 @@ int32_t Whodunitd::InnermostOpen(const Builder& b, SymId stage) {
   return -1;
 }
 
-void Whodunitd::JoinSpan(uint64_t txn, SymId stage, uint32_t link, int64_t now,
+void Whodunitd::JoinSpan(TxnHandle txn, SymId stage, uint32_t link, int64_t now,
                          int64_t queue_ns, context::NodeId ctxt) {
   Builder* found = Find(txn);
   if (found == nullptr) {
@@ -184,7 +173,7 @@ void Whodunitd::JoinSpan(uint64_t txn, SymId stage, uint32_t link, int64_t now,
   b.open.push_back({index, 0, stage});
 }
 
-void Whodunitd::NoteSend(uint64_t txn, SymId stage, uint32_t link) {
+void Whodunitd::NoteSend(TxnHandle txn, SymId stage, uint32_t link) {
   Builder* b = Find(txn);
   if (b == nullptr) {
     return;
@@ -195,7 +184,7 @@ void Whodunitd::NoteSend(uint64_t txn, SymId stage, uint32_t link) {
   }
 }
 
-void Whodunitd::EndSpan(uint64_t txn, SymId stage, int64_t now, SpanWaits waits) {
+void Whodunitd::EndSpan(TxnHandle txn, SymId stage, int64_t now, SpanWaits waits) {
   Builder* found = Find(txn);
   if (found == nullptr) {
     return;
@@ -216,13 +205,12 @@ void Whodunitd::EndSpan(uint64_t txn, SymId stage, int64_t now, SpanWaits waits)
   b.open.pop_back();
 }
 
-void Whodunitd::CompleteTxn(uint64_t txn, int64_t now, const TxnEnd& end) {
-  const uint32_t* slot = slot_of_.Find(txn);
-  if (slot == nullptr) {
+void Whodunitd::CompleteTxn(TxnHandle txn, int64_t now, const TxnEnd& end) {
+  Builder* found = Find(txn);
+  if (found == nullptr) {
     return;
   }
-  const uint32_t index = *slot;
-  Builder& b = slots_[index];
+  Builder& b = *found;
   if (const int32_t i = InnermostOpen(b, end.stage); i >= 0) {
     AddWaits(b.event.spans[static_cast<size_t>(b.open[static_cast<size_t>(i)].span)],
              end.waits);
@@ -238,11 +226,17 @@ void Whodunitd::CompleteTxn(uint64_t txn, int64_t now, const TxnEnd& end) {
   obs_published_->Add();
   if (batch_.empty()) {
     batch_opened_ns_ = now;
+    batch_.reserve(batch_cap_);
   }
   batch_.push_back(std::move(b.event));
-  slot_of_.Erase(txn);
-  free_slots_.push_back(index);
-  obs_inflight_->Set(static_cast<int64_t>(slot_of_.size()));
+  // Free the slot: the bumped generation (never 0, so no handle is 0)
+  // makes every handle issued for it so far stale.
+  if (++b.generation == 0) {
+    b.generation = 1;
+  }
+  free_slots_.push_back(static_cast<uint32_t>(txn));
+  --inflight_;
+  obs_inflight_->Set(static_cast<int64_t>(inflight_));
   if (batch_.size() >= options_.publish_batch ||
       now - batch_opened_ns_ >= options_.publish_flush_interval_ns) {
     FlushBatch();
@@ -254,8 +248,9 @@ void Whodunitd::FlushBatch() {
     return;
   }
   obs_batches_->Add();
+  batch_cap_ = std::max(batch_cap_, batch_.size());
   // Move steals the pooled block; batch_ is left empty and re-pools a
-  // recycled block on the next completion.
+  // recycled block of batch_cap_ events on the next completion.
   ch_.Send(std::move(batch_));
 }
 
@@ -266,7 +261,7 @@ void Whodunitd::Top(TopSnapshot& snap, size_t max_types, size_t max_contexts) co
   snap.as_of_ns = sched_.now();
   snap.txns = agg_.txns();
   snap.errors = agg_.errors();
-  snap.inflight = slot_of_.size();
+  snap.inflight = inflight_;
   snap.sampling_total = obs_sampling_total_->Value() - sampling_total_base_;
   snap.sampling_sampled = obs_sampling_sampled_->Value() - sampling_sampled_base_;
   snap.history_txns = history_.retained_txns();
@@ -557,9 +552,9 @@ std::string Whodunitd::RenderWhyTail() const {
 
 std::vector<TxnEvent> Whodunitd::RecentEvents() const {
   std::vector<TxnEvent> out;
-  out.reserve(recent_.size());
-  for (size_t i = 0; i < recent_.size(); ++i) {
-    out.push_back(recent_[i]);
+  out.reserve(history_.recent_txns());
+  for (size_t i = 0; i < history_.recent_txns(); ++i) {
+    out.push_back(history_.recent(i));
   }
   return out;
 }
@@ -573,8 +568,8 @@ void Whodunitd::Shutdown() {
     return;
   }
   shutdown_ = true;
-  obs_abandoned_->Add(slot_of_.size());
-  slot_of_.Clear();
+  obs_abandoned_->Add(inflight_);
+  inflight_ = 0;
   slots_.clear();
   free_slots_.clear();
   obs_inflight_->Set(0);

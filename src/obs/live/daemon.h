@@ -8,17 +8,30 @@
 //
 // Dataflow:
 //
-//   StageProfiler publish hooks ──► builder slab (in-flight txns)
-//          │ LiveComplete                    │ finished TxnEvent
-//          ▼                                 ▼
-//     TxnBatch (publish buffer) ──► sim::Channel<TxnBatch>
+//   StageProfiler publish hooks ──► builder slab (in-flight txns,
+//                                   one TxnHandle each)
+//                                        │ CompleteTxn: finished TxnEvent
+//                                        ▼
+//                                 TxnBatch (publish buffer)
+//                                        │ one Send per batch
+//                                        ▼
+//                                 sim::Channel<TxnBatch>
 //                                        │ one wake per batch
 //                                        ▼
-//                                 Pump coroutine ──► LiveAggregator
-//                                        │               ▲
-//                                        ▼               │ query API
-//                                 recent-event ring   whodunit_top,
-//                                 (span export)       QueryJson()
+//                                 Pump: AttributeTxn (fills event.attr),
+//                                       LiveAggregator ◄── query API,
+//                                        │                 whodunit_top
+//                                        │ each event moves, once
+//                                        ▼
+//                                 TxnHistory ring: retained window
+//                                 (why-tail, history export) and the
+//                                 newest span_ring records (span export)
+//
+// Ownership: a published event has one owner at a time — its builder
+// slot, then the batch, then the history ring. Attribution fills the
+// event's attr block in place and the aggregator only reads it; the
+// span export reads the ring's newest records, so the publish path
+// never copies an event.
 //
 // Publication rides the same sim::Channel plumbing as application
 // messages, so ingest is ordered with the simulation and the daemon
@@ -58,8 +71,6 @@
 #include "src/sim/channel.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
-#include "src/util/ring_queue.h"
-#include "src/util/robin_hood.h"
 
 namespace whodunit::obs::live {
 
@@ -67,7 +78,8 @@ struct LiveOptions {
   // In-flight transaction cap; BeginTxn beyond it drops the txn (the
   // daemon must never be the memory leak it is meant to expose).
   size_t max_inflight = 4096;
-  // Completed events retained for span export, newest last.
+  // Completed events retained for span export, newest last (the
+  // history ring keeps them, whatever its byte budget).
   size_t span_ring = 128;
   // Byte budget of the retention-bounded history store (history.h);
   // 0 disables it. The --history-bytes knob on the apps.
@@ -116,21 +128,22 @@ class Whodunitd {
   // ---- Publish hooks (called by StageProfiler and apps) --------------
   // SymId forms are the hot path: pure integer work, no hashing, no
   // allocation in steady state. The string_view forms intern first.
-  // Each hook finds the transaction's builder once, so a stage
-  // transition (begin, join, leave, complete) costs one lookup.
+  // Each hook finds the transaction's builder from its handle by one
+  // index and one generation compare — no hashing.
   //
   // Opens a transaction of `type` (0 = untyped until SetTxnType) and
-  // its origin span; returns the live txn id (0 = dropped: over the
-  // in-flight cap). All later hooks no-op on 0 and on ids that are no
-  // longer in flight.
-  uint64_t BeginTxn(SymId origin_stage, SymId type, int64_t now);
-  uint64_t BeginTxn(std::string_view origin_stage, std::string_view type, int64_t now) {
+  // its origin span; returns its handle (0 = dropped: over the
+  // in-flight cap, or after Shutdown). All later hooks no-op on 0 and
+  // on handles that are no longer in flight — a completed
+  // transaction's handle stays stale after its slot is reused.
+  TxnHandle BeginTxn(SymId origin_stage, SymId type, int64_t now);
+  TxnHandle BeginTxn(std::string_view origin_stage, std::string_view type, int64_t now) {
     return BeginTxn(syms_->Intern(origin_stage), syms_->Intern(type), now);
   }
   // Re-labels an in-flight transaction (e.g. once a cache stage knows
   // hit vs. miss).
-  void SetTxnType(uint64_t txn, SymId type);
-  void SetTxnType(uint64_t txn, std::string_view type) {
+  void SetTxnType(TxnHandle txn, SymId type);
+  void SetTxnType(TxnHandle txn, std::string_view type) {
     SetTxnType(txn, syms_->Intern(type));
   }
   // Opens one stage's span for `txn`; `link` is the synopsis part on
@@ -138,28 +151,28 @@ class Whodunitd {
   // the measured queue residency of that message before this span
   // started, and `ctxt` the interned context the span runs under —
   // both feed the wait-state attribution (attribution.h).
-  void JoinSpan(uint64_t txn, SymId stage, uint32_t link, int64_t now,
+  void JoinSpan(TxnHandle txn, SymId stage, uint32_t link, int64_t now,
                 int64_t queue_ns = 0, context::NodeId ctxt = context::kEmptyContext);
-  void JoinSpan(uint64_t txn, std::string_view stage, uint32_t link, int64_t now,
+  void JoinSpan(TxnHandle txn, std::string_view stage, uint32_t link, int64_t now,
                 int64_t queue_ns = 0, context::NodeId ctxt = context::kEmptyContext) {
     JoinSpan(txn, syms_->Intern(stage), link, now, queue_ns, ctxt);
   }
   // Records that the stage's open span sent a request carrying
   // synopsis part `link` (joins link arrows at the receiver).
-  void NoteSend(uint64_t txn, SymId stage, uint32_t link);
-  void NoteSend(uint64_t txn, std::string_view stage, uint32_t link) {
+  void NoteSend(TxnHandle txn, SymId stage, uint32_t link);
+  void NoteSend(TxnHandle txn, std::string_view stage, uint32_t link) {
     NoteSend(txn, syms_->Intern(stage), link);
   }
   // Closes the most recent open span of `stage` for `txn`, adding the
   // wait-state components the stage measured over the span.
-  void EndSpan(uint64_t txn, SymId stage, int64_t now, SpanWaits waits = {});
-  void EndSpan(uint64_t txn, std::string_view stage, int64_t now, SpanWaits waits = {}) {
+  void EndSpan(TxnHandle txn, SymId stage, int64_t now, SpanWaits waits = {});
+  void EndSpan(TxnHandle txn, std::string_view stage, int64_t now, SpanWaits waits = {}) {
     EndSpan(txn, syms_->Intern(stage), now, waits);
   }
   // Stamps the end time and `end`, closes any still-open spans, and
   // appends the finished event to the publish batch (flushed to the
   // aggregation channel on the size/interval thresholds above).
-  void CompleteTxn(uint64_t txn, int64_t now, const TxnEnd& end = {});
+  void CompleteTxn(TxnHandle txn, int64_t now, const TxnEnd& end = {});
   // Direct streaming inputs that bypass the txn builder:
   void AddCost(context::NodeId ctxt, uint64_t cost_ns) { agg_.AddCost(ctxt, cost_ns); }
   void NameTag(uint64_t tag, std::string_view name) { agg_.NameTag(tag, name); }
@@ -257,7 +270,7 @@ class Whodunitd {
 
   const LiveAggregator& aggregator() const { return agg_; }
   const TxnHistory& history() const { return history_; }
-  uint64_t inflight() const { return slot_of_.size(); }
+  uint64_t inflight() const { return inflight_; }
 
   // Flushes the partial publish batch, closes the publish channel so
   // the pump coroutine drains and exits; call before the final
@@ -277,17 +290,23 @@ class Whodunitd {
   };
   // One in-flight transaction. Builders live in a slot slab and are
   // reused in place after completion: the event's span block travels
-  // with the published event, the open list keeps its block.
+  // with the published event, the open list keeps its block. The
+  // generation is bumped as the slot is freed, so every handle issued
+  // for its earlier owners goes stale.
   struct Builder {
     TxnEvent event;
     util::PooledVec<OpenSpan> open;
+    uint32_t generation = 1;
   };
 
   // The in-flight builder of `txn`, or nullptr (dropped, completed,
   // abandoned, or never begun).
-  Builder* Find(uint64_t txn) {
-    const uint32_t* slot = slot_of_.Find(txn);
-    return slot != nullptr ? &slots_[*slot] : nullptr;
+  Builder* Find(TxnHandle txn) {
+    const auto slot = static_cast<uint32_t>(txn);
+    if (slot >= slots_.size() || slots_[slot].generation != (txn >> 32)) {
+      return nullptr;
+    }
+    return &slots_[slot];
   }
   // Index into b.open of the most recent open span of `stage`, or -1.
   static int32_t InnermostOpen(const Builder& b, SymId stage);
@@ -305,17 +324,22 @@ class Whodunitd {
   // block is pre-sized to this before attribution, so all records'
   // attr blocks land in the same arena size class — see Pump.
   size_t attr_cap_highwater_ = 0;
+  // Owns every published event once the pump is done with its batch;
+  // also the span ring (HistoryOptions::recent).
   TxnHistory history_;
   // Builder slab: slots_ only grows (up to max_inflight live slots),
-  // free_slots_ holds the reusable ones, slot_of_ maps txn id -> slot.
+  // free_slots_ holds the reusable ones. A handle indexes it directly.
   std::vector<Builder> slots_;
   std::vector<uint32_t> free_slots_;
-  util::RobinHoodMap<uint64_t, uint32_t> slot_of_;
+  uint64_t inflight_ = 0;
   // Completed-but-unflushed events, completion order; one Send per
-  // flush.
+  // flush. A batch's block is sized once, when it opens, to the
+  // largest batch flushed so far (at most publish_batch): the flush
+  // interval closes most batches early, and reserving publish_batch
+  // itself would draw an 80 MiB block per batch at its 1 << 20 limit.
   TxnBatch batch_;
+  size_t batch_cap_ = 0;
   int64_t batch_opened_ns_ = 0;
-  util::RingQueue<TxnEvent> recent_;
   uint64_t next_txn_ = 1;
   bool shutdown_ = false;
   std::function<void()> flush_hook_;

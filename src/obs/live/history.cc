@@ -28,6 +28,9 @@ size_t TxnHistory::ApproxBytes(const TxnEvent& event) {
 
 void TxnHistory::Ingest(TxnEvent&& event, int64_t now) {
   if (!enabled()) {
+    ring_.push_back(std::move(event));
+    ++dead_;
+    Trim();
     return;
   }
   if (!saw_ingest_) {
@@ -52,7 +55,7 @@ void TxnHistory::Flush(int64_t now) {
   }
   ++flushes_;
   obs_flushes_->Add();
-  visible_ = ring_.size();
+  visible_ = ring_.size() - dead_;
   retained_bytes_ += pending_bytes_;
   pending_bytes_ = 0;
   // Oldest-first eviction down to the soft limit. A single record
@@ -62,13 +65,14 @@ void TxnHistory::Flush(int64_t now) {
   const uint64_t evicted_txns_before = evicted_txns_;
   const uint64_t evicted_bytes_before = evicted_bytes_;
   while (retained_bytes_ > options_.max_bytes && visible_ > 0) {
-    const size_t bytes = ApproxBytes(ring_.front());
+    const size_t bytes = ApproxBytes(ring_[dead_]);
     retained_bytes_ -= bytes;
     ++evicted_txns_;
     evicted_bytes_ += bytes;
-    ring_.pop_front();
+    ++dead_;
     --visible_;
   }
+  Trim();
   obs_evicted_txns_->Add(evicted_txns_ - evicted_txns_before);
   obs_evicted_bytes_->Add(evicted_bytes_ - evicted_bytes_before);
   obs_retained_txns_->Set(static_cast<int64_t>(visible_));
@@ -76,11 +80,18 @@ void TxnHistory::Flush(int64_t now) {
   last_flush_ns_ = now;
 }
 
+void TxnHistory::Trim() {
+  while (dead_ > 0 && ring_.size() > options_.recent) {
+    ring_.pop_front();
+    --dead_;
+  }
+}
+
 std::vector<const TxnEvent*> TxnHistory::Scan() const {
   std::vector<const TxnEvent*> out;
   out.reserve(visible_);
   for (size_t i = 0; i < visible_; ++i) {
-    out.push_back(&ring_[i]);
+    out.push_back(&ring_[dead_ + i]);
   }
   return out;
 }
@@ -93,7 +104,7 @@ std::string TxnHistory::ExportJson() const {
       << ",\"txns\":[";
   bool first = true;
   for (size_t e = 0; e < visible_; ++e) {
-    const TxnEvent& ev = ring_[e];
+    const TxnEvent& ev = ring_[dead_ + e];
     out << (first ? "" : ",") << "\n{\"txn_id\":" << ev.txn_id
         << ",\"type\":" << JsonString(syms_->Name(ev.type))
         << ",\"origin\":" << JsonString(syms_->Name(ev.origin_stage))

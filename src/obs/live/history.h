@@ -1,12 +1,15 @@
 // Retention-bounded store of completed sampled-transaction records.
 //
-// The production counterpart of the span ring: where the ring keeps a
-// fixed COUNT of recent events for trace export, the history keeps as
-// many full transaction records as fit a BYTE budget, evicting oldest
-// first — FoundationDB's `profile client set <rate> <size>` retention
-// model. The budget is a soft limit: events accepted between flushes
-// may push the total over it temporarily; each flush settles the
-// store back under budget by deleting from the old end.
+// The one owner of every event the daemon publishes. Its visible
+// window keeps as many full transaction records as fit a BYTE budget,
+// evicting oldest first — FoundationDB's `profile client set <rate>
+// <size>` retention model. The same ring also serves the span ring (a
+// fixed COUNT of the newest events, for trace export): a record the
+// budget evicted stays in memory, outside the visible window, while it
+// is one of the newest `recent` ingested, so the daemon never keeps a
+// second copy of an event. The budget is a soft limit: events accepted
+// between flushes may push the total over it temporarily; each flush
+// settles the store back under budget by deleting from the old end.
 //
 // Flushes happen on a virtual-time interval (FDB's client profiler
 // flushes every 30 seconds) driven by ingest timestamps, so the store
@@ -14,6 +17,7 @@
 #ifndef SRC_OBS_LIVE_HISTORY_H_
 #define SRC_OBS_LIVE_HISTORY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,6 +35,9 @@ struct HistoryOptions {
   // Virtual-time interval between flushes; a flush promotes pending
   // events into the retained ring and evicts down to the budget.
   int64_t flush_interval_ns = 30'000'000'000;
+  // Newest records kept for recent() whatever the budget, a zero one
+  // included (the daemon's span_ring).
+  size_t recent = 0;
 };
 
 class TxnHistory {
@@ -46,7 +53,8 @@ class TxnHistory {
   // the flush interval has elapsed since the last one. The event is
   // moved into the store exactly once: the record retains the event's
   // own pooled span/attr blocks and the store never allocates (the
-  // pump hands over every event this way; see Whodunitd::Pump).
+  // pump hands over every event this way; see Whodunitd::Pump). With
+  // the store disabled the record only feeds recent().
   void Ingest(TxnEvent&& event, int64_t now);
 
   // Makes every pending record visible, then deletes oldest-first
@@ -55,7 +63,7 @@ class TxnHistory {
 
   size_t retained_txns() const { return visible_; }
   size_t retained_bytes() const { return retained_bytes_; }
-  size_t pending_txns() const { return ring_.size() - visible_; }
+  size_t pending_txns() const { return ring_.size() - dead_ - visible_; }
   uint64_t evicted_txns() const { return evicted_txns_; }
   uint64_t evicted_bytes() const { return evicted_bytes_; }
   uint64_t flushes() const { return flushes_; }
@@ -63,6 +71,13 @@ class TxnHistory {
   // Retained records oldest first (pending ones are not visible until
   // the next flush, mirroring FDB's flush-then-query behaviour).
   std::vector<const TxnEvent*> Scan() const;
+
+  // The newest min(options().recent, ingested) records, oldest first,
+  // pending and evicted ones included: the span ring.
+  size_t recent_txns() const { return std::min(options_.recent, ring_.size()); }
+  const TxnEvent& recent(size_t i) const {
+    return ring_[ring_.size() - recent_txns() + i];
+  }
 
   // Machine-readable dump of the retained ring, oldest first (schema
   // whodunit-history-v1, docs/OBSERVABILITY.md).
@@ -75,12 +90,19 @@ class TxnHistory {
   static size_t ApproxBytes(const TxnEvent& event);
 
  private:
+  // Drops dead records from the front while more than options_.recent
+  // records are held.
+  void Trim();
+
   HistoryOptions options_;
-  // One ring, oldest first: the first visible_ records are retained
-  // (what Scan and ExportJson see), the rest are pending until the
-  // next flush. A flush only moves the boundary. A record's bytes are
+  // One ring, oldest first: the first dead_ records were evicted (or
+  // never retained, with the store disabled) and stay only as the
+  // older part of the span ring; the next visible_ are retained (what
+  // Scan and ExportJson see); the rest are pending until the next
+  // flush. A flush only moves the boundaries. A record's bytes are
   // recomputed when it leaves: its block capacities never change.
   util::RingQueue<TxnEvent> ring_;
+  size_t dead_ = 0;
   size_t visible_ = 0;
   size_t retained_bytes_ = 0;
   size_t pending_bytes_ = 0;

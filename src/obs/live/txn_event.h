@@ -98,6 +98,12 @@ struct SpanWaits {
   int64_t lock_ns = 0;
 };
 
+// The opaque id of an in-flight transaction, as Whodunitd::BeginTxn
+// returns it: a builder slot and that slot's generation. 0 is never a
+// live handle. The published event's txn_id is a separate, sequential
+// id.
+using TxnHandle = uint64_t;
+
 using SpanVec = util::PooledVec<StageSpan>;
 using AttrVec = util::PooledVec<AttrSlice>;
 

@@ -213,12 +213,12 @@ void StageProfiler::AttachLive(obs::live::Whodunitd* live) {
   }
 }
 
-uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, uint32_t type_sym) {
+obs::live::TxnHandle StageProfiler::LiveBegin(ThreadProfile& tp, uint32_t type_sym) {
   if (live_ == nullptr || !TracksTransactions(options_.mode)) {
     return 0;
   }
   // Unsampled transactions never reach the daemon; every downstream
-  // live hook already no-ops on txn id 0.
+  // live hook already no-ops on handle 0.
   if (!tp.sampled_) {
     tp.live_txn_ = 0;
     return 0;
@@ -229,14 +229,14 @@ uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, uint32_t type_sym) {
   return tp.live_txn_;
 }
 
-uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, std::string_view type) {
+obs::live::TxnHandle StageProfiler::LiveBegin(ThreadProfile& tp, std::string_view type) {
   if (live_ == nullptr) {
     return 0;
   }
   return LiveBegin(tp, live_->symbols().Intern(type));
 }
 
-void StageProfiler::LiveJoin(ThreadProfile& tp, uint64_t txn, sim::SimTime queue_ns) {
+void StageProfiler::LiveJoin(ThreadProfile& tp, obs::live::TxnHandle txn, sim::SimTime queue_ns) {
   if (live_ == nullptr) {
     return;
   }

@@ -34,6 +34,7 @@
 #include "src/context/context_tree.h"
 #include "src/context/synopsis.h"
 #include "src/context/transaction_context.h"
+#include "src/obs/live/txn_event.h"
 #include "src/profiler/deployment.h"
 #include "src/sim/time.h"
 
@@ -96,7 +97,7 @@ class ThreadProfile {
   // Live-observability state: the daemon transaction this thread is
   // currently executing, the interned full-context node the thread's
   // CPU charges accrue to, and the batched not-yet-published cost.
-  uint64_t live_txn_ = 0;
+  obs::live::TxnHandle live_txn_ = 0;
   context::NodeId live_ctxt_node_ = context::kEmptyContext;
   sim::SimTime live_cost_acc_ = 0;
   // Wait-state measurements of the thread's current live span
@@ -235,18 +236,19 @@ class StageProfiler {
   void AttachLive(obs::live::Whodunitd* live);
   obs::live::Whodunitd* live() const { return live_; }
   // Origin stage: opens a live transaction of the given type on this
-  // thread (call after ResetTransaction). Returns the live txn id to
-  // thread through the app's messages (0 = daemon off or overloaded).
+  // thread (call after ResetTransaction). Returns the live txn handle
+  // to thread through the app's messages (0 = daemon off or
+  // overloaded).
   // The SymId form is the steady-state path; apps intern their type
   // names once at wiring time (live()->symbols().Intern(...)).
-  uint64_t LiveBegin(ThreadProfile& tp, uint32_t type_sym);
-  uint64_t LiveBegin(ThreadProfile& tp, std::string_view type);
+  obs::live::TxnHandle LiveBegin(ThreadProfile& tp, uint32_t type_sym);
+  obs::live::TxnHandle LiveBegin(ThreadProfile& tp, std::string_view type);
   // Non-origin stage: joins the thread to a transaction carried here
   // by a message (call after OnReceive; the innermost incoming synopsis
   // part becomes the span's link). `queue_ns` is the measured queue
   // residency of the message that carried the work here — it becomes
   // the span's kQueueWait attribution.
-  void LiveJoin(ThreadProfile& tp, uint64_t txn, sim::SimTime queue_ns = 0);
+  void LiveJoin(ThreadProfile& tp, obs::live::TxnHandle txn, sim::SimTime queue_ns = 0);
   // Closes this stage's span (the thread is done with the txn here).
   void LiveLeave(ThreadProfile& tp);
   // Origin stage, transaction finished end-to-end: publishes it.
@@ -258,7 +260,7 @@ class StageProfiler {
   // Accumulates measured lock wait onto the thread's current live span
   // (fed by resource acquire paths, e.g. Database::Execute).
   void LiveLockWait(ThreadProfile& tp, sim::SimTime wait_ns);
-  uint64_t live_txn(const ThreadProfile& tp) const { return tp.live_txn_; }
+  obs::live::TxnHandle live_txn(const ThreadProfile& tp) const { return tp.live_txn_; }
   // Publishes every thread's batched CPU cost to the daemon; the
   // daemon invokes this (via Deployment's flush hook) before answering
   // a query so snapshots are current.

@@ -12,10 +12,10 @@
 // operator-new counter).
 //
 // Semantics match the std::vector subset the pipeline needs: value
-// copy/move, push/clear/iterate. Moves steal the block (the channel
-// hand-off and the recent-ring push are pointer swaps); copies (the
-// history store's retention copy) allocate from the destination
-// thread's pool. A block may be freed on a different thread than the
+// copy/move, push/clear/iterate. Moves steal the block (the batch
+// hand-off and the history push are pointer swaps); copies (a
+// RecentEvents() snapshot) allocate from the destination thread's
+// pool. A block may be freed on a different thread than the
 // one that allocated it — pool blocks are plain heap memory, so they
 // simply join the freeing thread's freelist.
 #ifndef SRC_UTIL_POOLED_VEC_H_

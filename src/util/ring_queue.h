@@ -4,8 +4,8 @@
 // time a push/pop cycle crosses a chunk boundary, so even a deque
 // whose size oscillates around a constant keeps calling malloc
 // forever. The simulator's hottest FIFOs — channel buffers, blocked-
-// receiver lists, the live daemon's recent-event ring and history
-// store — all have that shape. A RingQueue keeps one contiguous
+// receiver lists, the live daemon's history store (which also serves
+// its span ring) — all have that shape. A RingQueue keeps one contiguous
 // power-of-two block and wraps head/tail indices around it: capacity
 // grows amortized like a vector, and once the high-water mark is
 // reached the queue never allocates again.
@@ -81,25 +81,6 @@ class RingQueue {
     slots_[head_].~T();
     head_ = Wrap(head_ + 1);
     --size_;
-  }
-
-  // Moves the front (oldest) element to the back, keeping the element
-  // alive so the caller can overwrite it by assignment and reuse
-  // whatever storage it already owns — the recycling idiom for a ring
-  // of pool-backed records. A full ring rotates by index alone;
-  // otherwise the element is move-relocated into the next free slot.
-  void rotate_front_to_back() {
-    if (size_ <= 1) {
-      return;
-    }
-    if (size_ == cap_) {
-      head_ = Wrap(head_ + 1);
-      return;
-    }
-    T* slot = slots_ + Wrap(head_ + size_);
-    ::new (static_cast<void*>(slot)) T(std::move(slots_[head_]));
-    slots_[head_].~T();
-    head_ = Wrap(head_ + 1);
   }
 
   void clear() {

@@ -109,6 +109,53 @@ TEST(AttributionTest, SlicesSumToEndToEndExactly) {
   }
 }
 
+// A fan-out of k children under one origin, alternating two stages
+// and two contexts, attributes the same way at k = 12 and k = 30 with
+// one scratch reused across the sizes (grown, then shrunk): each child
+// owns queue 5, service 30, lock 20 and 30 other ns of its 80-ns
+// window, the origin waits downstream for the rest of each 20-ns gap,
+// and slices come out ordered by (stage, ctxt, state).
+TEST(AttributionTest, SmallAndLargeEventsFoldAlike) {
+  AttrScratch scratch;
+  for (const int k : {12, 30, 12}) {
+    TxnEvent ev;
+    ev.type = S("fanout");
+    ev.start_ns = 0;
+    ev.end_ns = 100 * k + 50;
+    ev.root_ctxt = 9;
+    ev.spans.push_back({S("front"), 0, ev.end_ns, -1, 0});
+    for (int j = 0; j < k; ++j) {
+      const bool even = j % 2 == 0;
+      ev.spans.push_back({S(even ? "stage_a" : "stage_b"), 100 * j + 10, 80, 0,
+                          static_cast<uint32_t>(j + 1), 5, 30, 20,
+                          static_cast<context::NodeId>(even ? 1 : 2)});
+    }
+    AttrVec slices;
+    AttributeTxn(ev, Syms(), scratch, slices);
+    const int64_t half = k / 2;
+    const std::vector<AttrSlice> expected = {
+        {S("front"), 9, WaitState::kDownstreamWait, 5 + 15 * (k - 1)},
+        {S("front"), 9, WaitState::kSchedOther, 60},
+        {S("stage_a"), 1, WaitState::kQueueWait, 5 * half},
+        {S("stage_a"), 1, WaitState::kService, 30 * half},
+        {S("stage_a"), 1, WaitState::kLockWait, 20 * half},
+        {S("stage_a"), 1, WaitState::kSchedOther, 30 * half},
+        {S("stage_b"), 2, WaitState::kQueueWait, 5 * half},
+        {S("stage_b"), 2, WaitState::kService, 30 * half},
+        {S("stage_b"), 2, WaitState::kLockWait, 20 * half},
+        {S("stage_b"), 2, WaitState::kSchedOther, 30 * half},
+    };
+    ASSERT_EQ(slices.size(), expected.size()) << "k " << k;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(slices[i].stage, expected[i].stage) << "k " << k << " slice " << i;
+      EXPECT_EQ(slices[i].ctxt, expected[i].ctxt) << "k " << k << " slice " << i;
+      EXPECT_EQ(slices[i].state, expected[i].state) << "k " << k << " slice " << i;
+      EXPECT_EQ(slices[i].ns, expected[i].ns) << "k " << k << " slice " << i;
+    }
+    EXPECT_EQ(SliceSum(slices), ev.end_ns - ev.start_ns) << "k " << k;
+  }
+}
+
 TEST(AttributionTest, OverlappingDownstreamWaitsSplitOnce) {
   // Two children of the proxy with overlapping windows: the overlap is
   // owned by the earlier child's subtree; the later child only gets

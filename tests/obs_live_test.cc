@@ -383,9 +383,10 @@ TEST(WhodunitdTest, InflightCapDropsAndShutdownAbandons) {
 }
 
 // The builder slab recycles a completed transaction's slot: the next
-// transaction starts clean, txn ids stay sequential, hooks on a
-// completed id never reach the slot's new owner, the in-flight cap
-// still counts live slots, and Shutdown counts what it abandons.
+// transaction starts clean, the published events' txn ids stay
+// sequential, hooks on a completed handle never reach the slot's new
+// owner, the in-flight cap still counts live slots, and Shutdown
+// counts what it abandons.
 TEST(WhodunitdTest, BuilderSlotsRecycleCleanly) {
   MetricsRegistry reg;
   ScopedMetricsRegistry scope(reg);
@@ -399,7 +400,8 @@ TEST(WhodunitdTest, BuilderSlotsRecycleCleanly) {
     d.JoinSpan(a, "back", /*link=*/0, 5, /*queue_ns=*/3);
     d.CompleteTxn(a, 10, {.ctxt = 4, .error = true});
     const uint64_t b = d.BeginTxn("front", "", 20);  // reuses a's slot
-    EXPECT_EQ(b, a + 1);
+    EXPECT_NE(b, 0u);
+    EXPECT_NE(b, a);
     // Stale hooks on the completed id: no-ops, b is untouched.
     d.SetTxnType(a, "stale");
     d.JoinSpan(a, "back", /*link=*/0, 21);
@@ -408,7 +410,8 @@ TEST(WhodunitdTest, BuilderSlotsRecycleCleanly) {
     d.CompleteTxn(a, 23, {.error = true});
     EXPECT_EQ(d.inflight(), 1u);
     const uint64_t c = d.BeginTxn("front", "third", 30);
-    EXPECT_EQ(c, b + 1);
+    EXPECT_NE(c, 0u);
+    EXPECT_NE(c, b);
     EXPECT_EQ(d.BeginTxn("front", "", 31), 0u);  // over the cap: dropped
     d.CompleteTxn(b, 40, {.stage = S("front"), .waits = {/*service_ns=*/7, /*lock_ns=*/3}});
     sched.Run();
@@ -416,14 +419,14 @@ TEST(WhodunitdTest, BuilderSlotsRecycleCleanly) {
     const auto events = d.RecentEvents();
     ASSERT_EQ(events.size(), 2u);
     const TxnEvent& first = events[0];
-    EXPECT_EQ(first.txn_id, a);
+    EXPECT_EQ(first.txn_id, 1u);
     EXPECT_EQ(first.type, S("first"));
     EXPECT_TRUE(first.error);
     EXPECT_EQ(first.root_ctxt, 4u);
     ASSERT_EQ(first.spans.size(), 2u);
     EXPECT_EQ(first.spans[1].queue_ns, 3);
     const TxnEvent& second = events[1];
-    EXPECT_EQ(second.txn_id, b);
+    EXPECT_EQ(second.txn_id, 2u);
     EXPECT_EQ(second.type, 0u);
     EXPECT_FALSE(second.error);
     EXPECT_EQ(second.root_ctxt, context::kEmptyContext);
@@ -443,6 +446,178 @@ TEST(WhodunitdTest, BuilderSlotsRecycleCleanly) {
     EXPECT_EQ(reg.GetCounter("live.txns_abandoned").Value(), 1u);
     EXPECT_EQ(reg.GetCounter("live.txns_dropped").Value(), 1u);
   }
+}
+
+// A handle names one slot owner. Hooks on a stale handle (its slot
+// since reused), on handle 0 and on a slot that was never allocated
+// all no-op and leave the slot's new owner untouched; the published
+// events still number 1, 2, 3.
+TEST(WhodunitdTest, StaleZeroAndOutOfRangeHandlesNoOp) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
+  sim::Scheduler sched;
+  {
+    LiveOptions options;
+    options.max_inflight = 1;
+    options.publish_batch = 1;
+    Whodunitd d(sched, options);
+    const uint64_t a = d.BeginTxn("front", "first", 0);
+    d.CompleteTxn(a, 10);
+    const uint64_t b = d.BeginTxn("front", "second", 20);  // a's slot, reused
+    ASSERT_NE(b, 0u);
+    const uint64_t out_of_range = (b & ~uint64_t{0xffffffff}) | 7;
+    for (const uint64_t bad : {a, uint64_t{0}, out_of_range, b + 1}) {
+      d.SetTxnType(bad, "stale");
+      d.JoinSpan(bad, "back", /*link=*/0, 21, /*queue_ns=*/5, /*ctxt=*/9);
+      d.NoteSend(bad, "front", /*link=*/9);
+      d.EndSpan(bad, "front", 22, {/*service_ns=*/100, /*lock_ns=*/100});
+      d.CompleteTxn(bad, 23, {.ctxt = 9, .error = true});
+    }
+    EXPECT_EQ(d.inflight(), 1u);
+    d.CompleteTxn(b, 40);
+    const uint64_t c = d.BeginTxn("front", "third", 50);
+    d.CompleteTxn(c, 60);
+    d.CompleteTxn(b, 61);  // b is stale now too
+    sched.Run();
+
+    const auto events = d.RecentEvents();
+    ASSERT_EQ(events.size(), 3u);
+    for (size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].txn_id, i + 1);
+      EXPECT_FALSE(events[i].error);
+      EXPECT_EQ(events[i].root_ctxt, context::kEmptyContext);
+      ASSERT_EQ(events[i].spans.size(), 1u);
+      EXPECT_EQ(events[i].spans[0].service_ns, 0);
+      EXPECT_EQ(events[i].spans[0].lock_ns, 0);
+    }
+    EXPECT_EQ(events[1].type, S("second"));
+    EXPECT_EQ(events[1].start_ns, 20);
+    EXPECT_EQ(events[1].end_ns, 40);
+    EXPECT_EQ(events[1].spans[0].duration_ns, 20);
+    EXPECT_EQ(events[2].type, S("third"));
+    EXPECT_EQ(reg.GetCounter("live.txns_published").Value(), 3u);
+    d.Shutdown();
+    sched.Run();
+  }
+}
+
+// Every field of the span ring's events, one line per event and span.
+std::string RenderEvents(const std::vector<TxnEvent>& events) {
+  std::ostringstream out;
+  for (const TxnEvent& ev : events) {
+    out << "txn " << ev.txn_id << ' ' << Syms().Name(ev.type) << ' '
+        << Syms().Name(ev.origin_stage) << ' ' << ev.root_ctxt << ' ' << ev.start_ns << ' '
+        << ev.end_ns << ' ' << ev.error << '\n';
+    for (const StageSpan& span : ev.spans) {
+      out << " span " << Syms().Name(span.stage) << ' ' << span.start_ns << ' '
+          << span.duration_ns << ' ' << span.parent << ' ' << span.link << ' '
+          << span.queue_ns << ' ' << span.service_ns << ' ' << span.lock_ns << ' '
+          << span.ctxt << '\n';
+    }
+    for (const AttrSlice& slice : ev.attr) {
+      out << " attr " << Syms().Name(slice.stage) << ' ' << slice.ctxt << ' '
+          << WaitStateName(slice.state) << ' ' << slice.ns << '\n';
+    }
+  }
+  return out.str();
+}
+
+// What the span ring and the history show for one (history budget,
+// ring size): a daemon fed 300 transactions of one to three spans,
+// some erroring, queried mid-run (a partial batch and one transaction
+// still open) and again after Shutdown.
+std::string SpanRingTranscript(size_t history_bytes, size_t span_ring) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
+  sim::Scheduler sched;
+  std::string out;
+  {
+    LiveOptions options;
+    options.history_bytes = history_bytes;
+    options.history_flush_interval_ns = sim::Millis(40);
+    options.span_ring = span_ring;
+    options.publish_batch = 8;
+    Whodunitd d(sched, options);
+    for (int i = 0; i < 300; ++i) {
+      const int64_t t = sim::Millis(i);
+      sched.RunUntil(t);
+      const uint64_t txn = d.BeginTxn("front", i % 3 == 0 ? "checkout" : "browse", t);
+      if (i % 4 != 0) {
+        const auto link = static_cast<uint32_t>(i % 7 + 1);
+        d.NoteSend(txn, "front", link);
+        d.JoinSpan(txn, "app", link, t + 100, /*queue_ns=*/30 + i % 5,
+                   static_cast<context::NodeId>(i % 3 + 1));
+        if (i % 3 == 1) {
+          d.NoteSend(txn, "app", link + 10);
+          d.JoinSpan(txn, "db", link + 10, t + 200, /*queue_ns=*/20);
+          d.EndSpan(txn, "db", t + 400 + i % 9 * 10, {/*service_ns=*/50, /*lock_ns=*/i % 4 * 20});
+        }
+        d.EndSpan(txn, "app", t + 600, {/*service_ns=*/200, /*lock_ns=*/0});
+      }
+      d.CompleteTxn(txn, t + 900 + i % 11 * 50,
+                    {.ctxt = static_cast<context::NodeId>(i % 4 + 1), .error = i % 13 == 0,
+                     .stage = S("front"), .waits = {/*service_ns=*/100}});
+    }
+    d.BeginTxn("front", "browse", sim::Millis(300));  // still open at Shutdown
+    sched.RunUntil(sim::Millis(301));
+    out += "mid\n" + RenderEvents(d.RecentEvents()) + d.ExportSpansJson() +
+           d.ExportHistoryJson() + d.RenderWhyTail();
+    d.Shutdown();
+    sched.Run();
+    out += "end\n" + RenderEvents(d.RecentEvents()) + d.ExportSpansJson() +
+           d.ExportHistoryJson() + d.RenderWhyTail();
+  }
+  return out;
+}
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// RecentEvents(), ExportSpansJson(), the history JSON and the
+// why-tail report are byte-identical to the transcripts a daemon with
+// a separate recent-event ring produced, whatever the history budget
+// (1 MiB, disabled, below one record, or a few dozen records) and
+// ring size. Digests and
+// lengths were recorded from that daemon.
+TEST(WhodunitdTest, SpanRingGoldenAcrossHistoryBudgets) {
+  struct Golden {
+    size_t history_bytes;
+    size_t span_ring;
+    uint64_t digest;
+    size_t length;
+  };
+  const Golden goldens[] = {
+      {1 << 20, 0, 0x2da2be9a08c5b9a1ull, 157486},
+      {1 << 20, 3, 0x41fdb5e8e80cb157ull, 163370},
+      {1 << 20, 128, 0x3d3baebc20f67101ull, 352751},
+      {0, 0, 0xe5e93f2baca4c912ull, 638},
+      {0, 3, 0x2e496a42e5a1b36cull, 6522},
+      {0, 128, 0x6c78c5c26f523ac0ull, 195903},
+      {1, 0, 0x91840c5dd3113b03ull, 652},
+      {1, 3, 0xe50395f27e3357a1ull, 6536},
+      {1, 128, 0xd7b60d3334289bdbull, 195917},
+      {20000, 0, 0x51d2da8939c4cfabull, 17766},
+      {20000, 3, 0x1ae16d8b71a825b3ull, 23650},
+      {20000, 128, 0x5010f913add11111ull, 213031},
+  };
+  for (const Golden& g : goldens) {
+    const std::string transcript = SpanRingTranscript(g.history_bytes, g.span_ring);
+    EXPECT_EQ(Fnv1a(transcript), g.digest)
+        << "history_bytes " << g.history_bytes << " span_ring " << g.span_ring
+        << ": got {" << g.history_bytes << ", " << g.span_ring << ", 0x" << std::hex
+        << Fnv1a(transcript) << std::dec << "ull, " << transcript.size() << "}";
+    EXPECT_EQ(transcript.size(), g.length);
+  }
+  // A ring of 3 shows the three newest events of the stream, the
+  // budget notwithstanding.
+  const std::string small = SpanRingTranscript(/*history_bytes=*/1, /*span_ring=*/3);
+  EXPECT_NE(small.find("txn 300 "), std::string::npos);
+  EXPECT_EQ(small.find("txn 297 "), std::string::npos);
 }
 
 TEST(WhodunitdTest, SpanRingKeepsNewest) {

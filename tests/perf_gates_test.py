@@ -190,7 +190,8 @@ class PerfGatesTest(unittest.TestCase):
 
 class RunBenchesTest(unittest.TestCase):
     """scripts/run_benches.sh reduces the metrics-derived fields over the
-    runs instead of taking the last run's."""
+    runs instead of taking the last run's, and forms within-run ratios
+    before reducing them."""
 
     def test_live_fields_are_the_median_over_runs(self):
         tmp = tempfile.TemporaryDirectory()
@@ -235,6 +236,48 @@ cp '{state}/metrics_'"$n"'.json' "$WHODUNIT_METRICS_DIR/BENCH_ablation_live_obs.
         self.assertEqual(derived["live_publish_overhead_pct"], 20.0)
         # Any allocating run fails the ==0 gate, so the max is kept.
         self.assertEqual(derived["steady_allocs"], 3)
+
+
+    def test_detector_ratio_is_the_median_of_per_run_ratios(self):
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        state = os.path.join(tmp.name, "state")
+        bench_dir = os.path.join(tmp.name, "build", "bench")
+        out_dir = os.path.join(tmp.name, "out")
+        os.makedirs(state)
+        os.makedirs(bench_dir)
+        # Per-run ratios 3.0, 2.0, 5.0 (median 3.0); the ratio of the
+        # medians would read 250 / 100 = 2.5.
+        runs = [(300.0, 100.0), (200.0, 100.0), (250.0, 50.0)]
+        for i, (detector, cached) in enumerate(runs, start=1):
+            doc = {"benchmarks": [
+                {"name": "BM_EmulationFromCache", "run_type": "iteration",
+                 "real_time": cached, "cpu_time": cached, "iterations": 10},
+                {"name": "BM_SectionCacheWithDetector", "run_type": "iteration",
+                 "real_time": detector, "cpu_time": detector, "iterations": 10},
+            ]}
+            with open(os.path.join(state, f"gbench_{i}.json"), "w") as f:
+                json.dump(doc, f)
+        bench = os.path.join(bench_dir, "bench_table3_emulation")
+        with open(bench, "w") as f:
+            f.write(f"""#!/bin/sh
+n=$(cat '{state}/n' 2>/dev/null || echo 0)
+n=$((n + 1))
+echo "$n" > '{state}/n'
+out=${{1#--benchmark_out=}}
+cp '{state}/gbench_'"$n"'.json' "$out"
+""")
+        os.chmod(bench, 0o755)
+        done = subprocess.run(
+            ["sh", os.path.join(SCRIPTS, "run_benches.sh"), "-n", "3",
+             "-B", os.path.join(tmp.name, "build"), "-o", out_dir, "bench_table3_emulation"],
+            capture_output=True, text=True)
+        self.assertEqual(done.returncode, 0, done.stderr)
+        with open(os.path.join(out_dir, "BENCH_table3_emulation.json")) as f:
+            doc = json.load(f)
+        self.assertEqual(doc["derived"]["detector_cached_ratio"], 3.0)
+        # The per-op record itself stays the per-benchmark median.
+        self.assertEqual(doc["google_benchmark"]["BM_EmulationFromCache"]["cpu_time_ns"], 100.0)
 
 
 if __name__ == "__main__":

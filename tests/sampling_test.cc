@@ -186,6 +186,51 @@ TEST(TxnHistoryTest, ZeroBudgetDisablesTheStore) {
   EXPECT_EQ(history.pending_txns(), 0u);
 }
 
+// The span ring is the history ring's newest `recent` records: what
+// the byte budget evicts (or a disabled store never retains) stays
+// readable there, while Scan and the counters see only the window.
+TEST(TxnHistoryTest, RecentRecordsOutliveEviction) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
+  const size_t per_event = TxnHistory::ApproxBytes(MakeEvent(0, 0));
+  TxnHistory history(HistoryOptions{per_event, 1'000'000, /*recent=*/3});
+  for (int i = 0; i < 5; ++i) {
+    history.Ingest(MakeEvent(static_cast<uint64_t>(i), i), i);
+  }
+  history.Flush(10);
+  EXPECT_EQ(history.retained_txns(), 1u);
+  EXPECT_EQ(history.evicted_txns(), 4u);
+  EXPECT_EQ(history.pending_txns(), 0u);
+  ASSERT_EQ(history.Scan().size(), 1u);
+  EXPECT_EQ(history.Scan()[0]->txn_id, 4u);
+  ASSERT_EQ(history.recent_txns(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(history.recent(i).txn_id, i + 2);
+  }
+  // A later flush sizes the window past the kept dead records.
+  history.Ingest(MakeEvent(5, 20), 20);
+  history.Ingest(MakeEvent(6, 21), 21);
+  history.Flush(30);
+  EXPECT_EQ(history.retained_txns(), 1u);
+  EXPECT_EQ(history.evicted_txns(), 6u);
+  EXPECT_EQ(history.pending_txns(), 0u);
+  ASSERT_EQ(history.Scan().size(), 1u);
+  EXPECT_EQ(history.Scan()[0]->txn_id, 6u);
+  EXPECT_EQ(history.recent(0).txn_id, 4u);
+
+  TxnHistory disabled(HistoryOptions{0, 100, /*recent=*/2});
+  for (int i = 0; i < 4; ++i) {
+    disabled.Ingest(MakeEvent(static_cast<uint64_t>(i), i), i);
+  }
+  disabled.Flush(1000);
+  EXPECT_EQ(disabled.retained_txns(), 0u);
+  EXPECT_EQ(disabled.pending_txns(), 0u);
+  EXPECT_EQ(disabled.evicted_txns(), 0u);
+  ASSERT_EQ(disabled.recent_txns(), 2u);
+  EXPECT_EQ(disabled.recent(0).txn_id, 2u);
+  EXPECT_EQ(disabled.recent(1).txn_id, 3u);
+}
+
 TEST(TxnHistoryTest, ExportJsonListsRetainedOldestFirst) {
   MetricsRegistry reg;
   ScopedMetricsRegistry scope(reg);
